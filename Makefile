@@ -13,7 +13,7 @@ check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/obs/... ./internal/harness/... ./internal/syncache/... ./internal/server/...
+	$(GO) test -race ./internal/obs/... ./internal/harness/... ./internal/benchtrack/... ./internal/syncache/... ./internal/server/...
 	$(GO) test -race -run 'TestWindowed|TestTraceID|TestTraceIDEcho|TestDebugRequest' ./internal/obs ./internal/server
 	$(GO) test -race -run 'TestInstance|TestEstimateSingleFlight|TestFlightGroup|TestSynopsisLRU' ./internal/scenario ./internal/server
 	$(GO) test -race -run 'TestScheduler|TestQuota|TestFairness|TestSingleFlightFollower' ./internal/server

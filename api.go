@@ -57,7 +57,7 @@ func ApproximateContext(ctx context.Context, set *Synopsis, scheme Scheme, opts 
 // ApproximateFromSynopsis is ApproximateContext with
 // context.Background().
 func ApproximateFromSynopsis(set *Synopsis, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswersFromSet(set, scheme, opts)
+	return cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 }
 
 // ApproximateParallelContext fans the per-tuple estimations over a

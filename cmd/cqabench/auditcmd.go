@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 
 	"cqabench/internal/audit"
 	"cqabench/internal/cqa"
+	"cqabench/internal/harness"
 	"cqabench/internal/obs/manifest"
 	"cqabench/internal/scenario"
 )
@@ -20,24 +22,27 @@ import (
 // every estimate against the exact relative frequency, and writes a
 // manifest-stamped calibration JSON (error distributions, observed
 // violation rate vs the promised delta, samples-to-convergence
-// histograms). Where `accuracy` takes one look, `audit` measures the
-// guarantee as a rate.
+// histograms), measuring the guarantee as a rate.
 func cmdAudit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	sf := fs.Float64("sf", 0.0002, "TPC-H scale factor")
-	seed := fs.Uint64("seed", 5489, "base PRNG seed (each trial derives its own stream)")
+	seed := fs.Uint64("seed", 5489, "base PRNG seed (trial 0 uses it; later trials derive their own)")
 	eps := fs.Float64("eps", 0.1, "relative error under audit")
 	delta := fs.Float64("delta", 0.25, "promised failure probability under audit")
-	trials := fs.Int("trials", 3, "independent estimations per (scheme, tuple)")
+	trials := fs.Int("trials", 3, "independent runs per (scheme, pair), each estimating every tuple once")
 	joins := fs.Int("joins", 1, "join level")
 	noisep := fs.Float64("noise", 0.4, "noise level")
 	balanceLevels := fs.String("balance-levels", "0.5,1.0", "balance targets")
 	maxImages := fs.Int("max-images", 22, "exact computation limit per component")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-estimate timeout (0 = none)")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-run timeout: one scheme over one pair (0 = none)")
 	schemesFlag := fs.String("schemes", "", "comma-separated schemes to audit (default all)")
 	out := fs.String("out", filepath.Join("results", "audit.json"), "write the calibration JSON here (empty = skip)")
 	failOnViolation := fs.Bool("fail-on-violation", false, "exit non-zero when any scheme's observed violation rate exceeds delta")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	levels, err := parseLevels("balance-levels", *balanceLevels, nil)
+	if err != nil {
 		return err
 	}
 
@@ -60,19 +65,19 @@ func cmdAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, err := lab.BalanceScenario(*noisep, *joins, parseFloats(*balanceLevels))
+	w, err := lab.BalanceScenario(*noisep, *joins, levels)
 	if err != nil {
 		return err
 	}
 
-	rep, err := audit.Run(w, audit.Config{
-		Eps:       *eps,
-		Delta:     *delta,
-		Trials:    *trials,
-		Seed:      *seed,
-		Schemes:   schemes,
+	rep, err := audit.Run(context.Background(), w, audit.Config{
+		Config: harness.Config{
+			Opts:    cqa.Options{Eps: *eps, Delta: *delta, Seed: *seed},
+			Reps:    *trials,
+			Schemes: schemes,
+			Timeout: *timeout,
+		},
 		MaxImages: *maxImages,
-		Timeout:   *timeout,
 	})
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"cqabench/internal/benchtrack"
 	"cqabench/internal/cqa"
+	"cqabench/internal/harness"
 	"cqabench/internal/obs"
 	"cqabench/internal/obs/manifest"
 )
@@ -68,28 +70,26 @@ func cmdBench(args []string) error {
 	if *traceOut != "" {
 		traceRoot = obs.NewSpan("cqabench.bench")
 	}
-	cfg := benchtrack.RunConfig{
-		Tier:    *tier,
-		K:       *k,
+	res, err := benchtrack.Run(context.Background(), specs, *tier, harness.Config{
+		Reps:    *k,
 		Timeout: *timeout,
 		Opts:    cqa.Options{Eps: *eps, Delta: *delta, Seed: *seed},
 		Schemes: schemes,
 		Trace:   traceRoot,
 		Cache:   cache,
-		Progress: func(e benchtrack.Entry) {
-			logger.Info("bench entry",
-				"scenario", e.Scenario,
-				"scheme", e.Scheme,
-				"median", time.Duration(e.MedianNanos).Round(time.Microsecond).String(),
-				"samples_per_op", e.SamplesPerOp,
-				"prep", time.Duration(e.PrepNanos).Round(time.Microsecond).String(),
-				"prep_source", e.PrepSource,
-				"timeouts", e.Timeouts)
-		},
-	}
-	res, err := benchtrack.Run(specs, cfg)
+	})
 	if err != nil {
 		return err
+	}
+	for _, e := range res.Entries {
+		logger.Info("bench entry",
+			"scenario", e.Scenario,
+			"scheme", e.Scheme,
+			"median", time.Duration(e.MedianNanos).Round(time.Microsecond).String(),
+			"samples_per_op", e.SamplesPerOp,
+			"prep", time.Duration(e.PrepNanos).Round(time.Microsecond).String(),
+			"prep_source", e.PrepSource,
+			"timeouts", e.Timeouts)
 	}
 	logCacheSummary(logger, cache)
 	res.Manifest.Tool = "cqabench bench"

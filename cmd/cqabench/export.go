@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
@@ -27,6 +28,13 @@ func cmdExport(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if familyLevels[*family] == nil {
+		return fmt.Errorf("unknown family %q", *family)
+	}
+	levels, err := parseLevels("levels", *levelsFlag, familyLevels[*family])
+	if err != nil {
+		return err
+	}
 	labCfg := scenario.DefaultConfig()
 	labCfg.ScaleFactor = *sf
 	labCfg.Seed = *seed
@@ -38,19 +46,11 @@ func cmdExport(args []string) error {
 	var w *scenario.Workload
 	switch *family {
 	case "noise":
-		levels := parseFloats(defaultStr(*levelsFlag, "0.2,0.4,0.6,0.8,1.0"))
 		w, err = lab.NoiseScenario(*balance, *joins, levels)
 	case "balance":
-		levels := parseFloats(defaultStr(*levelsFlag, "0,0.25,0.5,0.75,1.0"))
 		w, err = lab.BalanceScenario(*noisep, *joins, levels)
 	case "joins":
-		var joinLevels []int
-		for _, v := range parseFloats(defaultStr(*levelsFlag, "1,2,3")) {
-			joinLevels = append(joinLevels, int(v))
-		}
-		w, err = lab.JoinsScenario(*noisep, *balance, joinLevels)
-	default:
-		return fmt.Errorf("unknown family %q", *family)
+		w, err = lab.JoinsScenario(*noisep, *balance, joinCounts(levels))
 	}
 	if err != nil {
 		return err
@@ -90,11 +90,11 @@ func cmdRunScenario(args []string) error {
 	var fig *harness.Figure
 	switch *axis {
 	case "noise":
-		fig, err = harness.RunNoise(w, hcfg)
+		fig, err = harness.RunNoise(context.Background(), w, hcfg)
 	case "balance":
-		fig, err = harness.RunBalance(w, hcfg)
+		fig, err = harness.RunBalance(context.Background(), w, hcfg)
 	case "joins":
-		fig, err = harness.RunJoins(w, hcfg)
+		fig, err = harness.RunJoins(context.Background(), w, hcfg)
 	default:
 		return fmt.Errorf("unknown axis %q", *axis)
 	}
@@ -106,11 +106,4 @@ func cmdRunScenario(args []string) error {
 		fmt.Print(fig.Chart(72, 16))
 	}
 	return nil
-}
-
-func defaultStr(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -32,15 +35,22 @@ func cmdGrid(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	noises, err := parseLevels("noise-levels", *noiseLevels, nil)
+	if err != nil {
 		return err
 	}
+	balances, err := parseLevels("balance-levels", *balanceLevels, nil)
+	if err != nil {
+		return err
+	}
+	joinFloats, err := parseLevels("join-levels", *joinLevels, nil)
+	if err != nil {
+		return err
+	}
+	joins := joinCounts(joinFloats)
 
-	noises := parseFloats(*noiseLevels)
-	balances := parseFloats(*balanceLevels)
-	var joins []int
-	for _, v := range parseFloats(*joinLevels) {
-		joins = append(joins, int(v))
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
 
 	labCfg := scenario.DefaultConfig()
@@ -52,6 +62,7 @@ func cmdGrid(args []string) error {
 		return err
 	}
 	hcfg := harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout, Schemes: cqa.Schemes}
+	ctx := context.Background()
 
 	emit := func(name string, fig *harness.Figure, table string) error {
 		if err := os.WriteFile(filepath.Join(*outDir, name+".txt"), []byte(table), 0o644); err != nil {
@@ -86,7 +97,7 @@ func cmdGrid(args []string) error {
 				if err != nil {
 					return err
 				}
-				fig, err := harness.RunNoise(w, hcfg)
+				fig, err := harness.RunNoise(ctx, w, hcfg)
 				if err != nil {
 					return err
 				}
@@ -103,7 +114,7 @@ func cmdGrid(args []string) error {
 				if err != nil {
 					return err
 				}
-				fig, err := harness.RunBalance(w, hcfg)
+				fig, err := harness.RunBalance(ctx, w, hcfg)
 				if err != nil {
 					return err
 				}
@@ -120,7 +131,7 @@ func cmdGrid(args []string) error {
 				if err != nil {
 					return err
 				}
-				fig, err := harness.RunJoins(w, hcfg)
+				fig, err := harness.RunJoins(ctx, w, hcfg)
 				if err != nil {
 					return err
 				}
@@ -133,53 +144,38 @@ func cmdGrid(args []string) error {
 	return nil
 }
 
-// cmdAccuracy audits the schemes' empirical (eps, delta) behaviour against
-// exact relative frequencies on a scenario.
-func cmdAccuracy(args []string) error {
-	fs := flag.NewFlagSet("accuracy", flag.ContinueOnError)
-	sf := fs.Float64("sf", 0.0002, "TPC-H scale factor")
-	seed := fs.Uint64("seed", 1, "PRNG seed")
-	eps := fs.Float64("eps", 0.1, "relative error")
-	delta := fs.Float64("delta", 0.25, "failure probability")
-	timeout := fs.Duration("timeout", 10*time.Second, "per (pair, scheme) timeout")
-	joins := fs.Int("joins", 1, "join level")
-	noisep := fs.Float64("noise", 0.4, "noise level")
-	balanceLevels := fs.String("balance-levels", "0.5,1.0", "balance targets")
-	maxImages := fs.Int("max-images", 22, "exact computation limit per component")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	labCfg := scenario.DefaultConfig()
-	labCfg.ScaleFactor = *sf
-	labCfg.Seed = *seed
-	labCfg.QueriesPerJoin = 1
-	lab, err := scenario.NewLab(labCfg)
-	if err != nil {
-		return err
-	}
-	w, err := lab.BalanceScenario(*noisep, *joins, parseFloats(*balanceLevels))
-	if err != nil {
-		return err
-	}
-	hcfg := harness.Config{
-		Opts:    cqa.Options{Eps: *eps, Delta: *delta, Seed: 5489},
-		Timeout: *timeout,
-		Schemes: cqa.Schemes,
-	}
-	rep, err := harness.Accuracy(w, hcfg, *maxImages)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Table())
-	return nil
+// familyLevels are the default x-axis levels of each scenario family
+// (figure, run and export).
+var familyLevels = map[string][]float64{
+	"noise":   {0.2, 0.4, 0.6, 0.8, 1.0},
+	"balance": {0, 0.25, 0.5, 0.75, 1.0},
+	"joins":   {1, 2, 3},
 }
 
-func parseFloats(s string) []float64 {
+// parseLevels reads a comma-separated list of levels from the flag
+// named name; an empty value selects def. Every token must be a finite
+// number: a bad one fails with an error naming the flag and the token
+// instead of silently reading as 0.
+func parseLevels(name, value string, def []float64) ([]float64, error) {
+	if value == "" {
+		return def, nil
+	}
 	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		var v float64
-		fmt.Sscanf(strings.TrimSpace(part), "%g", &v)
+	for _, tok := range strings.Split(value, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-%s: bad level %q in %q", name, tok, value)
+		}
 		out = append(out, v)
+	}
+	return out, nil
+}
+
+// joinCounts converts join levels to the join counts the lab takes.
+func joinCounts(levels []float64) []int {
+	out := make([]int, len(levels))
+	for i, v := range levels {
+		out[i] = int(v)
 	}
 	return out
 }

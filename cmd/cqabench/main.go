@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -71,8 +72,6 @@ func run(args []string) error {
 		return cmdStats(args[1:])
 	case "grid":
 		return cmdGrid(args[1:])
-	case "accuracy":
-		return cmdAccuracy(args[1:])
 	case "audit":
 		return cmdAudit(args[1:])
 	case "report":
@@ -113,7 +112,6 @@ subcommands:
   validate  run the validation scenarios (Appendix F)
   stats     inconsistency statistics and dynamic query parameters
   grid      regenerate the full appendix scenario matrix (Figures 6-13)
-  accuracy  audit empirical (eps, delta) accuracy against exact frequencies
   audit     calibrate the (eps, delta) guarantee over repeated trials (JSON + violation gate)
   report    run all scenario families and emit a markdown report
   export    write one scenario family to a directory (schema + dbs + manifest)
@@ -434,6 +432,16 @@ func cmdFigure(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	defaults := map[int][]float64{
+		1: familyLevels["noise"],
+		2: familyLevels["balance"],
+		3: {0.2, 0.6, 1.0},
+		4: familyLevels["joins"],
+	}
+	levels, err := parseLevels("levels", *levelsFlag, defaults[*id])
+	if err != nil {
+		return err
+	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -458,6 +466,7 @@ func cmdFigure(args []string) error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	hcfg := harness.Config{
 		Opts:    cqa.Options{Eps: *eps, Delta: *delta, Seed: 5489},
 		Timeout: *timeout,
@@ -473,53 +482,36 @@ func cmdFigure(args []string) error {
 		hcfg.Trace = traceRoot
 	}
 
-	parseLevels := func(def []float64) []float64 {
-		if *levelsFlag == "" {
-			return def
-		}
-		var out []float64
-		for _, s := range strings.Split(*levelsFlag, ",") {
-			var v float64
-			fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-			out = append(out, v)
-		}
-		return out
-	}
-
 	var fig *harness.Figure
 	switch *id {
 	case 1:
-		w, err := lab.NoiseScenario(*balance, *joins, parseLevels([]float64{0.2, 0.4, 0.6, 0.8, 1.0}))
+		w, err := lab.NoiseScenario(*balance, *joins, levels)
 		if err != nil {
 			return err
 		}
-		fig, err = harness.RunNoise(w, hcfg)
+		fig, err = harness.RunNoise(ctx, w, hcfg)
 		if err != nil {
 			return err
 		}
 		fmt.Print(fig.Table())
 	case 2:
-		w, err := lab.BalanceScenario(*noisep, *joins, parseLevels([]float64{0, 0.25, 0.5, 0.75, 1.0}))
+		w, err := lab.BalanceScenario(*noisep, *joins, levels)
 		if err != nil {
 			return err
 		}
-		fig, err = harness.RunBalance(w, hcfg)
+		fig, err = harness.RunBalance(ctx, w, hcfg)
 		if err != nil {
 			return err
 		}
 		fmt.Print(fig.Table())
 	case 3:
-		return figurePreprocess(lab, parseLevels([]float64{0.2, 0.6, 1.0}))
+		return figurePreprocess(lab, levels)
 	case 4:
-		var joinLevels []int
-		for _, lv := range parseLevels([]float64{1, 2, 3}) {
-			joinLevels = append(joinLevels, int(lv))
-		}
-		w, err := lab.JoinsScenario(*noisep, *balance, joinLevels)
+		w, err := lab.JoinsScenario(*noisep, *balance, joinCounts(levels))
 		if err != nil {
 			return err
 		}
-		fig, err = harness.RunJoins(w, hcfg)
+		fig, err = harness.RunJoins(ctx, w, hcfg)
 		if err != nil {
 			return err
 		}
@@ -625,6 +617,10 @@ func cmdValidate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	levels, err := parseLevels("levels", *levelsFlag, nil)
+	if err != nil {
+		return err
+	}
 	var base *relation.Database
 	var vqs []scenario.ValidationQuery
 	switch *benchmark {
@@ -637,12 +633,6 @@ func cmdValidate(args []string) error {
 	default:
 		return fmt.Errorf("unknown benchmark %q", *benchmark)
 	}
-	var levels []float64
-	for _, s := range strings.Split(*levelsFlag, ",") {
-		var v float64
-		fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-		levels = append(levels, v)
-	}
 	hcfg := harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout, Schemes: cqa.Schemes}
 	for _, vq := range vqs {
 		if *template != 0 && vq.TemplateID != *template {
@@ -653,7 +643,7 @@ func cmdValidate(args []string) error {
 			fmt.Printf("%s: skipped (%v)\n", vq.Name(), err)
 			continue
 		}
-		fig, err := harness.RunValidation(w, hcfg)
+		fig, err := harness.RunValidation(context.Background(), w, hcfg)
 		if err != nil {
 			return err
 		}

@@ -110,12 +110,41 @@ func TestValidateSingleTemplate(t *testing.T) {
 	}
 }
 
-func TestAccuracySubcommand(t *testing.T) {
+func TestAuditSubcommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full audit")
 	}
-	if err := run([]string{"accuracy", "-sf", "0.0002", "-balance-levels", "1.0", "-eps", "0.2", "-delta", "0.3"}); err != nil {
-		t.Fatalf("accuracy: %v", err)
+	out := filepath.Join(t.TempDir(), "audit.json")
+	if err := run([]string{"audit", "-sf", "0.0002", "-balance-levels", "1.0", "-eps", "0.2", "-delta", "0.3",
+		"-trials", "1", "-out", out, "-fail-on-violation"}); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Fatalf("audit wrote no calibration: %v", err)
+	}
+}
+
+// TestLevelFlagsRejectMalformedLists: a level list with a token that is
+// not a number fails the command, naming the flag and the token, before
+// any scenario is built — it used to be read silently as level 0.
+func TestLevelFlagsRejectMalformedLists(t *testing.T) {
+	for _, tc := range []struct{ sub, flag string }{
+		{"audit", "-balance-levels"},
+		{"figure", "-levels"},
+		{"run", "-levels"},
+		{"export", "-levels"},
+		{"validate", "-levels"},
+	} {
+		for _, bad := range []string{"x", "0.5,"} {
+			err := run([]string{tc.sub, tc.flag, bad})
+			if err == nil {
+				t.Errorf("%s %s %q: accepted", tc.sub, tc.flag, bad)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.flag) || !strings.Contains(err.Error(), "bad level") {
+				t.Errorf("%s %s %q: error %q does not name the flag and the bad level", tc.sub, tc.flag, bad, err)
+			}
+		}
 	}
 }
 

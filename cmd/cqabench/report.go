@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func cmdReport(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	if err := harness.WriteReport(w, lab, rcfg); err != nil {
+	if err := harness.WriteReport(context.Background(), w, lab, rcfg); err != nil {
 		return err
 	}
 	if *out != "" {

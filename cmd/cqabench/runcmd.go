@@ -55,6 +55,13 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if familyLevels[*scenarioName] == nil {
+		return fmt.Errorf("run: unknown scenario %q (want noise, balance or joins)", *scenarioName)
+	}
+	levels, err := parseLevels("levels", *levelsFlag, familyLevels[*scenarioName])
+	if err != nil {
+		return err
+	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -90,7 +97,6 @@ func cmdRun(args []string) error {
 		Timeout: *timeout,
 		Schemes: cqa.Schemes,
 		Cache:   cache,
-		Context: runCtx,
 	}
 	if *progress {
 		hcfg.Progress = progressPrinter(logger)
@@ -101,54 +107,35 @@ func cmdRun(args []string) error {
 		hcfg.Trace = traceRoot
 	}
 
-	parseLevels := func(def []float64) []float64 {
-		if *levelsFlag == "" {
-			return def
-		}
-		var out []float64
-		for _, s := range strings.Split(*levelsFlag, ",") {
-			var v float64
-			fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-			out = append(out, v)
-		}
-		return out
-	}
-
 	var fig *harness.Figure
 	switch *scenarioName {
 	case "noise":
-		w, err := lab.NoiseScenario(*balance, *joins, parseLevels([]float64{0.2, 0.4, 0.6, 0.8, 1.0}))
+		w, err := lab.NoiseScenario(*balance, *joins, levels)
 		if err != nil {
 			return err
 		}
-		if fig, err = harness.RunNoise(w, hcfg); err != nil {
+		if fig, err = harness.RunNoise(runCtx, w, hcfg); err != nil {
 			return err
 		}
 		fmt.Print(fig.Table())
 	case "balance":
-		w, err := lab.BalanceScenario(*noisep, *joins, parseLevels([]float64{0, 0.25, 0.5, 0.75, 1.0}))
+		w, err := lab.BalanceScenario(*noisep, *joins, levels)
 		if err != nil {
 			return err
 		}
-		if fig, err = harness.RunBalance(w, hcfg); err != nil {
+		if fig, err = harness.RunBalance(runCtx, w, hcfg); err != nil {
 			return err
 		}
 		fmt.Print(fig.Table())
 	case "joins":
-		var joinLevels []int
-		for _, lv := range parseLevels([]float64{1, 2, 3}) {
-			joinLevels = append(joinLevels, int(lv))
-		}
-		w, err := lab.JoinsScenario(*noisep, *balance, joinLevels)
+		w, err := lab.JoinsScenario(*noisep, *balance, joinCounts(levels))
 		if err != nil {
 			return err
 		}
-		if fig, err = harness.RunJoins(w, hcfg); err != nil {
+		if fig, err = harness.RunJoins(runCtx, w, hcfg); err != nil {
 			return err
 		}
 		fmt.Print(fig.ShareTable())
-	default:
-		return fmt.Errorf("run: unknown scenario %q (want noise, balance or joins)", *scenarioName)
 	}
 
 	var totalPrep time.Duration

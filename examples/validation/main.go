@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -50,7 +51,7 @@ func runOne(base *relation.Database, vq scenario.ValidationQuery, levels []float
 	if err != nil {
 		log.Fatalf("%s: %v", vq.Name(), err)
 	}
-	fig, err := harness.RunValidation(w, hcfg)
+	fig, err := harness.RunValidation(context.Background(), w, hcfg)
 	if err != nil {
 		log.Fatalf("%s: %v", vq.Name(), err)
 	}

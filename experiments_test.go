@@ -1,6 +1,7 @@
 package cqabench_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func TestTakeHome1_NaturalWinsBooleanQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig, err := harness.RunNoise(w, experimentConfig())
+		fig, err := harness.RunNoise(context.Background(), w, experimentConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestTakeHome2_KLMWinsNonBooleanQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := harness.RunNoise(w, experimentConfig())
+	fig, err := harness.RunNoise(context.Background(), w, experimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestTakeHome3_PreprocessingIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := harness.RunBalance(w, experimentConfig())
+	fig, err := harness.RunBalance(context.Background(), w, experimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestValidationConfirmsTakeHome1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := harness.RunValidation(w, experimentConfig())
+	fig, err := harness.RunValidation(context.Background(), w, experimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,59 +1,49 @@
 // Package audit calibrates the (ε, δ) guarantee empirically: it replays
 // scenario pairs through each approximation scheme — repeatedly, with
-// independent seeds — and compares every estimate against the exact
-// relative frequency (component-decomposed inclusion–exclusion with a
-// knowledge-compilation fallback, Lemma 4.1(3)). The output is a
+// independent seeds, on the harness's measurement loop — and compares
+// every estimate against the exact relative frequency
+// (component-decomposed inclusion–exclusion with a knowledge-compilation
+// fallback, Lemma 4.1(3)). The output is a
 // calibration report per (scheme, scenario): the empirical error
 // distribution, the observed violation rate next to the promised δ, and
 // a samples-to-convergence histogram.
 //
-// The harness's AccuracyReport answers "did one run stay within ε?";
-// this package answers the operational question VerdictDB-style systems
-// ship beside every approximate answer — "how often does the guarantee
-// fail, and by how much, under repeated sampling?". Every estimate also
+// It answers the operational question VerdictDB-style systems ship
+// beside every approximate answer — "how often does the guarantee fail,
+// and by how much, under repeated sampling?" — from the same run
+// records the figures and the bench reduce. Every estimate also
 // feeds the cqa_empirical_error / cqa_guarantee_violations_total /
 // cqa_samples_to_convergence metrics, so a live service accumulates the
 // same calibration continuously.
 package audit
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"cqabench/internal/cqa"
-	"cqabench/internal/estimator"
-	"cqabench/internal/mt"
+	"cqabench/internal/harness"
 	"cqabench/internal/obs"
 	"cqabench/internal/obs/manifest"
 	"cqabench/internal/scenario"
 	"cqabench/internal/synopsis"
 )
 
-// Config parameterizes a calibration run.
+// Config parameterizes a calibration run: the harness settings
+// (Opts.Eps and Opts.Delta are the guarantee under audit, Opts.Seed the
+// base seed, Reps the trial count, Timeout the per-run budget) plus the
+// audit's own. Run sets the harness's Reseed and Exact itself.
 type Config struct {
-	// Eps and Delta are the guarantee under audit.
-	Eps, Delta float64
-	// Trials is the number of independent estimations per (scheme, tuple),
-	// each with its own deterministic seed. More trials sharpen the
-	// observed violation rate (each estimate is one Bernoulli(≤δ) draw).
-	Trials int
-	// Seed derives every trial's PRNG stream.
-	Seed uint64
-	// Schemes restricts the audit; nil audits all four.
-	Schemes []cqa.Scheme
+	harness.Config
 	// MaxImages bounds the exact computation per entangled component
 	// (0 = the synopsis package's default). Tuples whose exact frequency
 	// is intractable are skipped and counted.
 	MaxImages int
-	// Timeout bounds each estimate; timed-out estimates are excluded from
-	// the distributions and counted per scheme.
-	Timeout time.Duration
 	// Registry receives the calibration metrics (nil = obs.Default()).
 	Registry *obs.Registry
 }
@@ -61,15 +51,18 @@ type Config struct {
 // DefaultConfig returns the paper's guarantee (ε = 0.1, δ = 0.25) with a
 // small trial count suitable for smoke calibration.
 func DefaultConfig() Config {
-	return Config{Eps: 0.1, Delta: 0.25, Trials: 3, Seed: 5489, MaxImages: 22}
+	return Config{
+		Config:    harness.Config{Opts: cqa.Options{Eps: 0.1, Delta: 0.25, Seed: 5489}, Reps: 3},
+		MaxImages: 22,
+	}
 }
 
 func (c Config) validate() error {
-	if !(c.Eps > 0 && c.Eps < 1) || !(c.Delta > 0 && c.Delta < 1) {
-		return fmt.Errorf("audit: require 0 < eps < 1 and 0 < delta < 1 (got eps=%v delta=%v)", c.Eps, c.Delta)
+	if err := c.Opts.Validate(); err != nil {
+		return fmt.Errorf("audit: %w", err)
 	}
-	if c.Trials <= 0 {
-		return fmt.Errorf("audit: trials must be positive (got %d)", c.Trials)
+	if c.Reps <= 0 {
+		return fmt.Errorf("audit: trials must be positive (got %d)", c.Reps)
 	}
 	return nil
 }
@@ -141,91 +134,80 @@ type schemeAccum struct {
 	timedOut int
 }
 
-// Run audits every configured scheme over the workload. Each tuple with
-// a tractable exact frequency is estimated Trials times per scheme, each
-// trial on its own deterministic PRNG stream, and every estimate is
-// scored against the exact value.
-func Run(w *scenario.Workload, cfg Config) (*Report, error) {
+// Run audits every configured scheme over the workload: the harness
+// loop runs each scheme Reps times per pair — trial t is one
+// cqa.ApxAnswersFromSetContext run over the pair's synopsis, seeded per
+// trial (trial 0 with Opts.Seed itself), the same code path bench,
+// figure and serve measure — with an exact baseline per tuple, and
+// Calibrate scores the records.
+func Run(ctx context.Context, w *scenario.Workload, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	schemes := cfg.Schemes
-	if len(schemes) == 0 {
-		schemes = cqa.Schemes
+	hcfg := cfg.Config
+	hcfg.Reseed = true
+	hcfg.Exact = func(p *synopsis.Admissible) (float64, error) { return p.ExactRatioAuto(cfg.MaxImages, 0) }
+	fig, err := harness.Run(ctx, w, hcfg, func(scenario.Pair) float64 { return 0 })
+	if err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
 	}
+	return Calibrate(fig, cfg), nil
+}
+
+// Calibrate reduces exact-baseline harness records to the calibration
+// report. A tuple is audited when its exact frequency is tractable and
+// positive (relative error is undefined at f = 0); each completed record
+// contributes one estimate per audited tuple of its pair, and a
+// timed-out record counts those tuples as timed-out estimates. Every
+// estimate also feeds the calibration metrics in cfg.Registry.
+func Calibrate(fig *harness.Figure, cfg Config) *Report {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()
 	}
-	rep := &Report{Scenario: w.Name, Eps: cfg.Eps, Delta: cfg.Delta, Trials: cfg.Trials}
-	acc := make(map[cqa.Scheme]*schemeAccum, len(schemes))
-	for _, s := range schemes {
-		acc[s] = &schemeAccum{}
+	eps := cfg.Opts.Eps
+	rep := &Report{Scenario: fig.Title, Eps: eps, Delta: cfg.Opts.Delta, Trials: cfg.Reps}
+	acc := make(map[cqa.Scheme]*schemeAccum, len(fig.Series))
+	for _, s := range fig.Series {
+		acc[s.Scheme] = &schemeAccum{}
 	}
-
-	tupleOrd := uint64(0) // global tuple ordinal, for per-trial seed derivation
-	for _, pair := range w.Pairs {
-		set, err := synopsis.Build(pair.DB, pair.Query)
-		if err != nil {
-			return nil, err
-		}
-		for i := range set.Entries {
-			entry := &set.Entries[i]
-			ord := tupleOrd
-			tupleOrd++
-			exact, err := entry.Pair.ExactRatioAuto(cfg.MaxImages, 0)
-			if err != nil {
-				if errors.Is(err, synopsis.ErrTooLarge) {
+	counted := make(map[string]bool) // pairs whose tuples are tallied
+	for _, m := range fig.Raw {
+		if !counted[m.Pair] {
+			counted[m.Pair] = true
+			for _, f := range m.Exact {
+				if f > 0 {
+					rep.Tuples++
+				} else {
 					rep.SkippedTuples++
-					continue
 				}
-				return nil, err
 			}
-			if exact <= 0 {
-				// Relative error is undefined at f = 0 (and the schemes
-				// only ever see positive-frequency tuples anyway).
-				rep.SkippedTuples++
+		}
+		a := acc[m.Scheme]
+		lbl := obs.L("scheme", m.Scheme.String())
+		for i, exact := range m.Exact {
+			if !(exact > 0) {
 				continue
 			}
-			rep.Tuples++
-			for _, s := range schemes {
-				lbl := obs.L("scheme", s.String())
-				a := acc[s]
-				for trial := 0; trial < cfg.Trials; trial++ {
-					opts := cqa.Options{Eps: cfg.Eps, Delta: cfg.Delta, Seed: cfg.Seed}
-					if cfg.Timeout > 0 {
-						opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
-					}
-					// Independent deterministic streams: golden-ratio mixing
-					// over (tuple, trial), the same construction the parallel
-					// sampler uses per tuple.
-					src := mt.New(cfg.Seed + ord*0x9E3779B97F4A7C15 + uint64(trial)*0xBF58476D1CE4E5B9)
-					freq, samples, err := cqa.ApxRelativeFreq(entry.Pair, s, opts, src)
-					if err != nil {
-						if errors.Is(err, estimator.ErrBudget) {
-							a.timedOut++
-							continue
-						}
-						return nil, fmt.Errorf("audit: %s on %s tuple %d: %w", s, pair.Name, i, err)
-					}
-					relErr := math.Abs(freq-exact) / exact
-					a.relErrs = append(a.relErrs, relErr)
-					a.samples = append(a.samples, samples)
-					reg.Histogram("cqa_empirical_error", lbl).Observe(relErr)
-					reg.Histogram("cqa_samples_to_convergence", lbl).Observe(float64(samples))
-					if relErr > cfg.Eps+1e-12 {
-						reg.Counter("cqa_guarantee_violations_total", lbl).Inc()
-					}
-				}
+			if m.TimedOut {
+				a.timedOut++
+				continue
+			}
+			relErr := math.Abs(m.Estimates[i]-exact) / exact
+			a.relErrs = append(a.relErrs, relErr)
+			a.samples = append(a.samples, m.TupleSamples[i])
+			reg.Histogram("cqa_empirical_error", lbl).Observe(relErr)
+			reg.Histogram("cqa_samples_to_convergence", lbl).Observe(float64(m.TupleSamples[i]))
+			if relErr > eps+1e-12 {
+				reg.Counter("cqa_guarantee_violations_total", lbl).Inc()
 			}
 		}
 	}
-
-	for _, s := range schemes {
-		rep.Schemes = append(rep.Schemes, calibrate(s, acc[s], cfg.Eps))
+	for _, s := range fig.Series {
+		rep.Schemes = append(rep.Schemes, calibrate(s.Scheme, acc[s.Scheme], eps))
 	}
 	sort.Slice(rep.Schemes, func(i, j int) bool { return rep.Schemes[i].Scheme < rep.Schemes[j].Scheme })
-	return rep, nil
+	return rep
 }
 
 // calibrate reduces one scheme's raw observations to its calibration.

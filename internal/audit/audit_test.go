@@ -2,12 +2,14 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"cqabench/internal/cq"
 	"cqabench/internal/cqa"
+	"cqabench/internal/harness"
 	"cqabench/internal/obs"
 	"cqabench/internal/obs/manifest"
 	"cqabench/internal/relation"
@@ -39,9 +41,9 @@ func testWorkload(t testing.TB) *scenario.Workload {
 func TestRunCalibratesEveryScheme(t *testing.T) {
 	w := testWorkload(t)
 	cfg := DefaultConfig()
-	cfg.Trials = 4
+	cfg.Reps = 4
 	cfg.Registry = obs.NewRegistry()
-	rep, err := Run(w, cfg)
+	rep, err := Run(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestRunCalibratesEveryScheme(t *testing.T) {
 		t.Fatalf("%d scheme calibrations, want %d", len(rep.Schemes), len(cqa.Schemes))
 	}
 	for _, s := range rep.Schemes {
-		want := rep.Tuples * cfg.Trials
+		want := rep.Tuples * cfg.Reps
 		if s.Estimates+s.TimedOut != want {
 			t.Fatalf("%s: %d estimates + %d timeouts, want %d", s.Scheme, s.Estimates, s.TimedOut, want)
 		}
@@ -86,15 +88,15 @@ func TestRunCalibratesEveryScheme(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	w := testWorkload(t)
 	cfg := DefaultConfig()
-	cfg.Trials = 2
+	cfg.Reps = 2
 	cfg.Schemes = []cqa.Scheme{cqa.Natural, cqa.KL}
 	cfg.Registry = obs.NewRegistry()
-	a, err := Run(w, cfg)
+	a, err := Run(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Registry = obs.NewRegistry()
-	b, err := Run(w, cfg)
+	b, err := Run(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +108,11 @@ func TestRunIsDeterministic(t *testing.T) {
 func TestRunRecordsMetrics(t *testing.T) {
 	w := testWorkload(t)
 	cfg := DefaultConfig()
-	cfg.Trials = 2
+	cfg.Reps = 2
 	cfg.Schemes = []cqa.Scheme{cqa.KLM}
 	reg := obs.NewRegistry()
 	cfg.Registry = reg
-	rep, err := Run(w, cfg)
+	rep, err := Run(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +132,11 @@ func TestRunRecordsMetrics(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	w := testWorkload(t)
 	for _, cfg := range []Config{
-		{Eps: 0, Delta: 0.25, Trials: 1},
-		{Eps: 0.1, Delta: 1, Trials: 1},
-		{Eps: 0.1, Delta: 0.25, Trials: 0},
+		{Config: harness.Config{Opts: cqa.Options{Eps: 0, Delta: 0.25}, Reps: 1}},
+		{Config: harness.Config{Opts: cqa.Options{Eps: 0.1, Delta: 1}, Reps: 1}},
+		{Config: harness.Config{Opts: cqa.Options{Eps: 0.1, Delta: 0.25}, Reps: 0}},
 	} {
-		if _, err := Run(w, cfg); err == nil {
+		if _, err := Run(context.Background(), w, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -143,10 +145,10 @@ func TestConfigValidation(t *testing.T) {
 func TestReportJSONEnvelope(t *testing.T) {
 	w := testWorkload(t)
 	cfg := DefaultConfig()
-	cfg.Trials = 1
+	cfg.Reps = 1
 	cfg.Schemes = []cqa.Scheme{cqa.Natural}
 	cfg.Registry = obs.NewRegistry()
-	rep, err := Run(w, cfg)
+	rep, err := Run(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package benchtrack
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"cqabench/internal/cqa"
+	"cqabench/internal/harness"
 	"cqabench/internal/obs"
 	"cqabench/internal/obs/manifest"
 )
@@ -217,7 +219,8 @@ func TestHistoryRoundTrip(t *testing.T) {
 
 // TestRunSmokeTier exercises the real runner end to end on the smallest
 // tier with one scheme and K=2: entries carry K runs, a positive median
-// and prep time, and the trace span captures the bench structure.
+// and prep time, and the trace span captures the bench structure — one
+// bench span per spec over the harness's pair spans.
 func TestRunSmokeTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a TPC-H scenario lab")
@@ -228,21 +231,20 @@ func TestRunSmokeTier(t *testing.T) {
 	}
 	root := obs.NewSpan("bench.test")
 	var progressed int
-	res, err := Run(specs, RunConfig{
-		Tier:     "smoke",
-		K:        2,
+	res, err := Run(context.Background(), specs, "smoke", harness.Config{
+		Reps:     2,
 		Timeout:  30 * time.Second,
 		Opts:     cqa.DefaultOptions(),
 		Schemes:  []cqa.Scheme{cqa.KLM},
 		Trace:    root,
-		Progress: func(Entry) { progressed++ },
+		Progress: func(harness.Measurement) { progressed++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
-	if len(res.Entries) != 2 || progressed != 2 {
-		t.Fatalf("entries=%d progressed=%d, want 2/2 (sequential + pw4 smoke specs)", len(res.Entries), progressed)
+	if len(res.Entries) != 2 || res.K != 2 {
+		t.Fatalf("entries=%d k=%d, want 2/2 (sequential + pw4 smoke specs)", len(res.Entries), res.K)
 	}
 	e := res.Entries[0]
 	if e.Scenario != "noise-j1-p04" || e.Scheme != "KLM" {
@@ -275,11 +277,17 @@ func TestRunSmokeTier(t *testing.T) {
 		data.Children[1].Name != "bench:noise-j1-p04-pw4" {
 		t.Fatalf("trace roots: %+v", data.Children)
 	}
+	pairs := data.Children[0].Children
 	names := map[string]int{}
-	for _, c := range data.Children[0].Children {
-		names[c.Name]++
+	for _, p := range pairs {
+		for _, c := range p.Children {
+			names[c.Name]++
+		}
 	}
-	if names["synopsis.build"] != 1 || names["run:KLM"] != 2 {
-		t.Errorf("bench trace children: %v", names)
+	if len(pairs) == 0 || names["synopsis.build"] != len(pairs) || names["cqa.KLM"] != 2*len(pairs) {
+		t.Errorf("bench trace: %d pair spans, children %v", len(pairs), names)
+	}
+	if progressed != 2*2*len(pairs) {
+		t.Errorf("progressed %d measurements, want %d", progressed, 2*2*len(pairs))
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"cqabench/internal/cq"
 	"cqabench/internal/estimator"
+	"cqabench/internal/obs"
 	"cqabench/internal/relation"
 	"cqabench/internal/synopsis"
 )
@@ -63,8 +64,8 @@ func TestEntryPointsValidateOptions(t *testing.T) {
 	bad := DefaultOptions()
 	bad.Eps = 2
 
-	if _, _, err := ApxAnswersFromSet(set, KLM, bad); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("ApxAnswersFromSet: %v", err)
+	if _, _, err := ApxAnswersFromSetContext(context.Background(), set, KLM, bad); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("ApxAnswersFromSetContext: %v", err)
 	}
 	if _, _, err := ApxAnswersParallel(set, KLM, bad, 2); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("ApxAnswersParallel: %v", err)
@@ -134,8 +135,8 @@ func TestApxAnswersParallelContextCanceled(t *testing.T) {
 	}
 }
 
-// A live context must leave results bit-identical to the context-free
-// path, sequential and parallel alike.
+// A live, span-carrying context must leave results bit-identical to a
+// plain background context, sequential and parallel alike.
 func TestContextFreeAndContextResultsMatch(t *testing.T) {
 	db, q := bigBlockDB(t, 4)
 	set, err := synopsis.Build(db, q)
@@ -144,8 +145,9 @@ func TestContextFreeAndContextResultsMatch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	ctx = obs.ContextWithSpan(ctx, obs.NewSpan("test"))
 	for _, scheme := range Schemes {
-		plain, sp, err1 := ApxAnswersFromSet(set, scheme, DefaultOptions())
+		plain, sp, err1 := ApxAnswersFromSetContext(context.Background(), set, scheme, DefaultOptions())
 		withCtx, sc, err2 := ApxAnswersFromSetContext(ctx, set, scheme, DefaultOptions())
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%v: %v / %v", scheme, err1, err2)

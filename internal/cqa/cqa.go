@@ -335,48 +335,25 @@ func recordRunMetrics(scheme Scheme, stats Stats, err error) {
 	}
 }
 
-// ApxAnswersFromSet runs ApxCQA[scheme] over a precomputed synopsis set:
-// one relative-frequency approximation per answer tuple. This is the
-// measured phase of the paper's experiments (preprocessing excluded).
-func ApxAnswersFromSet(set *synopsis.Set, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return ApxAnswersFromSetTracedContext(context.Background(), set, scheme, opts, nil)
-}
-
-// ApxAnswersFromSetContext is ApxAnswersFromSet with cooperative
-// cancellation: ctx is polled at the estimators' chunk boundaries, so an
-// abort is observed within about one 256-draw chunk and reported as an
-// error wrapping estimator.ErrCanceled. Estimates of uncancelled runs
-// are bit-identical to ApxAnswersFromSet.
+// ApxAnswersFromSetContext runs ApxCQA[scheme] over a precomputed
+// synopsis set: one relative-frequency approximation per answer tuple.
+// This is the measured phase of the paper's experiments (preprocessing
+// excluded). It validates opts before any work starts. ctx is polled at
+// the estimators' chunk boundaries, so an abort is observed within about
+// one 256-draw chunk and reported as an error wrapping
+// estimator.ErrCanceled; uncancelled runs are bit-identical whatever the
+// context. When ctx carries a span (obs.StartSpan), the run's root span
+// ("cqa.<Scheme>", with sampler.init.<kernel> / estimate children)
+// becomes its child — this is how the harness's -trace-out plumbing and
+// the estimation service's per-request traces capture the cqa breakdown.
 func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return ApxAnswersFromSetTracedContext(ctx, set, scheme, opts, nil)
-}
-
-// ApxAnswersFromSetTraced is ApxAnswersFromSet with span attribution
-// under parent: the run's root span ("cqa.<Scheme>", with sampler.init.<kernel> /
-// estimate children) becomes a child of parent, so callers holding a
-// span tree (the harness's -trace-out plumbing) capture the run in their
-// trace. A nil parent reproduces ApxAnswersFromSet exactly.
-func ApxAnswersFromSetTraced(set *synopsis.Set, scheme Scheme, opts Options, parent *obs.Span) ([]TupleFreq, Stats, error) {
-	return ApxAnswersFromSetTracedContext(context.Background(), set, scheme, opts, parent)
-}
-
-// ApxAnswersFromSetTracedContext combines span attribution (see
-// ApxAnswersFromSetTraced) with cooperative cancellation (see
-// ApxAnswersFromSetContext). It validates opts before any work starts.
-// When parent is nil but ctx carries a span (obs.StartSpan), the run's
-// span tree attaches there instead — this is how the estimation
-// service's per-request traces capture the cqa breakdown.
-func ApxAnswersFromSetTracedContext(ctx context.Context, set *synopsis.Set, scheme Scheme, opts Options, parent *obs.Span) ([]TupleFreq, Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if parent == nil {
-		parent = obs.FromContext(ctx)
-	}
-	root := parent.StartChild("cqa." + scheme.String())
+	root := obs.FromContext(ctx).StartChild("cqa." + scheme.String())
 	if root == nil {
 		root = obs.NewSpan("cqa." + scheme.String())
 	}
@@ -392,7 +369,6 @@ func ApxAnswersFromSetTracedContext(ctx context.Context, set *synopsis.Set, sche
 		root.End()
 		stats.Elapsed = root.Duration()
 		stats.Stages = root.Stages()
-		stats.NumSamples = stats.Samples
 		if stats.Samples > 0 {
 			stats.GoodRatio = goodSum / float64(stats.Samples)
 		}

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -230,7 +231,7 @@ func TestSchemesAccuracyProperty(t *testing.T) {
 		for _, scheme := range Schemes {
 			opts := DefaultOptions()
 			opts.Seed = uint64(seed) + uint64(scheme)*7919
-			res, _, err := ApxAnswersFromSet(set, scheme, opts)
+			res, _, err := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 			if err != nil {
 				return false
 			}

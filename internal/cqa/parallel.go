@@ -114,7 +114,6 @@ func ApxAnswersParallelContext(ctx context.Context, set *synopsis.Set, scheme Sc
 	}
 	stats.Elapsed = time.Since(start)
 	stats.NumTuples = n
-	stats.NumSamples = stats.Samples
 	if stats.Samples > 0 {
 		stats.GoodRatio = goodSum / float64(stats.Samples)
 	}

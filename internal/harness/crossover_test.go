@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func TestCrossoverOnRealBalanceScenario(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Timeout = 6 * time.Second
-	fig, err := RunBalance(w, cfg)
+	fig, err := RunBalance(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // aggregates the paper's figures: per-scheme mean running time against the
 // varied parameter (noise, balance), per-scheme share of running time
 // against the join count, the preprocessing-time distribution, and the
-// validation series. Timeouts are imposed per scheme invocation, like the
+// validation series. Timeouts are imposed per scheme run, like the
 // paper's per-scenario 1-hour cap, and reported as counts next to the
 // affected points, like the integer annotations in Figures 1–2.
 package harness
@@ -32,12 +32,27 @@ import (
 type Config struct {
 	// Opts carries ε, δ and the seed (paper: ε = 0.1, δ = 0.25).
 	Opts cqa.Options
-	// Timeout bounds each (pair, scheme) run; 0 means none.
+	// Timeout bounds each run of one scheme over one pair; 0 means none.
 	Timeout time.Duration
 	// Schemes selects which schemes to run (default: all four).
 	Schemes []cqa.Scheme
-	// Progress, if set, is called after every (pair, scheme) measurement;
-	// the CLI's -progress flag uses it to stream status lines to stderr.
+	// Reps is the number of runs per (pair, scheme); 0 means 1. The
+	// bench's K-run medians and the audit's trials are repetitions.
+	Reps int
+	// Reseed gives repetition r its own seed (repetition 0 keeps
+	// Opts.Seed), making the runs independent trials, as the audit
+	// needs. Unset, every repetition reruns Opts.Seed: timing
+	// repetitions of identical work, as the bench needs.
+	Reseed bool
+	// Exact, if set, requests an exact baseline: it is evaluated once
+	// per answer tuple when the pair's synopsis is prepared, and every
+	// record of the pair carries the exact values next to the run's
+	// per-tuple estimates and draw counts. A failure wrapping
+	// synopsis.ErrTooLarge marks the tuple intractable (NaN) instead of
+	// failing the run.
+	Exact func(*synopsis.Admissible) (float64, error)
+	// Progress, if set, is called after every measurement; the CLI's
+	// -progress flag uses it to stream status lines to stderr.
 	Progress func(Measurement)
 	// Trace, if set, is the parent span the run attributes all work
 	// under: one "pair:<name>" child per pair, holding a synopsis.build
@@ -49,27 +64,14 @@ type Config struct {
 	// updated after: a warm run loads enc(syn) directly and skips the
 	// build. A nil or disabled cache reproduces the uncached behavior.
 	Cache *syncache.Cache
-	// BuildWorkers bounds the worker pool that prepares synopses for
-	// the workload's pairs concurrently (cache loads and cold builds
-	// alike). 0 selects GOMAXPROCS capped at 8; 1 forces the historical
-	// sequential preparation. Preparation is deterministic regardless of
-	// the worker count: synopsis construction draws no random numbers,
-	// and results are ordered by pair, not by completion.
-	BuildWorkers int
-	// Context, when set, aborts the whole run cooperatively: synopsis
-	// builds and estimations observe it at their usual poll points and
-	// Run returns an error wrapping estimator.ErrCanceled. Nil means
-	// context.Background() — runs are then bounded only by Timeout.
-	Context context.Context
 }
 
-// context returns the run's context, defaulting to Background.
-func (c Config) context() context.Context {
-	if c.Context != nil {
-		return c.Context
-	}
-	return context.Background()
-}
+// maxBuildWorkers caps the pool that prepares the workload's synopses
+// concurrently (GOMAXPROCS workers, at most this many). Preparation is
+// deterministic regardless of the worker count: synopsis construction
+// draws no random numbers, and results are ordered by pair, not by
+// completion.
+const maxBuildWorkers = 8
 
 // DefaultConfig mirrors the paper's experimental setting with a short
 // timeout suitable for scaled-down scenarios.
@@ -81,20 +83,28 @@ func DefaultConfig() Config {
 	}
 }
 
+// repSeed is repetition rep's seed under Config.Reseed: the base seed
+// for rep 0, then golden-ratio steps, so trials draw independent
+// streams.
+func repSeed(seed uint64, rep int) uint64 {
+	return seed + uint64(rep)*0xBF58476D1CE4E5B9
+}
+
 // Measurement records one scheme run over one pair.
 type Measurement struct {
 	Pair     string
 	Scheme   cqa.Scheme
 	Level    float64 // the x-axis value of the scenario family
+	Rep      int     // repetition index, 0 ≤ Rep < Config.Reps
 	Elapsed  time.Duration
 	Prep     time.Duration
 	Samples  int64
 	Tuples   int
 	TimedOut bool
 	// Reason distinguishes failure modes: "" for a completed run,
-	// "timeout" when the per-(pair, scheme) budget expired. Timed-out
-	// measurements report zero Samples/Prep — the partial counts of an
-	// aborted invocation are not comparable to completed ones.
+	// "timeout" when the per-run budget expired. Timed-out measurements
+	// report zero Samples/Prep — the partial counts of an aborted
+	// invocation are not comparable to completed ones.
 	Reason string
 	// Stages is the span breakdown of Elapsed into pipeline stages
 	// (sampler.init.<kernel> / estimate / other); the stage durations
@@ -103,12 +113,20 @@ type Measurement struct {
 	// PrepSource records where the pair's synopsis came from: "build"
 	// (computed this run) or "load" (decoded from the synopsis cache).
 	PrepSource string
+	// Exact holds the pair's per-tuple exact relative frequencies (NaN
+	// where intractable) when Config.Exact requested a baseline. For a
+	// completed run, Estimates and TupleSamples then hold each tuple's
+	// estimate and the draws it took, in the same order; a timed-out
+	// run leaves them nil.
+	Exact        []float64
+	Estimates    []float64
+	TupleSamples []int64
 }
 
 // Point aggregates the measurements of one scheme at one level.
 type Point struct {
 	Level    float64
-	Mean     time.Duration // mean over the level's pairs; timeouts count at the timeout value
+	Mean     time.Duration // mean over the level's runs; timeouts count at the timeout value
 	Timeouts int
 	Count    int
 }
@@ -136,34 +154,27 @@ type Figure struct {
 }
 
 // prepared is the outcome of the synopsis-preparation phase for one
-// pair: the synopsis (loaded or built), where it came from, and the
-// wall time it took.
+// pair: the synopsis (loaded or built), where it came from, the wall
+// time it took, and the exact baseline when one was requested.
 type prepared struct {
 	set    *synopsis.Set
 	source syncache.Source
 	prep   time.Duration
+	exact  []float64
 	err    error
 }
 
 // prepare resolves the synopses of every pair — from the cache when
 // warm, by building (and storing) when cold — over a bounded worker
-// pool. Results are indexed by pair, so downstream ordering is
-// deterministic regardless of completion order. Each pair's "pair:"
-// trace span is created here, in pair order, and stays open for the
-// measurement phase to attach scheme spans to.
-func prepare(w *scenario.Workload, cfg Config, spans []*obs.Span) []prepared {
-	workers := cfg.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	if workers > len(w.Pairs) {
-		workers = len(w.Pairs)
-	}
+// pool, then computes the exact baseline if cfg requests one. Results
+// are indexed by pair, so downstream ordering is deterministic
+// regardless of completion order. Each pair's "pair:" trace span is
+// created here, in pair order, and stays open for the measurement phase
+// to attach scheme spans to.
+func prepare(ctx context.Context, w *scenario.Workload, cfg Config, spans []*obs.Span) []prepared {
+	workers := min(runtime.GOMAXPROCS(0), maxBuildWorkers, len(w.Pairs))
 	out := make([]prepared, len(w.Pairs))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, max(workers, 1))
 	var wg sync.WaitGroup
 	for i := range w.Pairs {
 		spans[i] = cfg.Trace.StartChild("pair:" + w.Pairs[i].Name)
@@ -180,109 +191,179 @@ func prepare(w *scenario.Workload, cfg Config, spans []*obs.Span) []prepared {
 			}
 			span := spans[i].StartChild("synopsis.resolve")
 			set, source, err := cfg.Cache.Resolve(key, func() (*synopsis.Set, error) {
-				return synopsis.BuildContext(cfg.context(), pair.DB, pair.Query)
+				return synopsis.BuildContext(ctx, pair.DB, pair.Query)
 			})
 			span.End()
 			// Rename the span after the fact so traces show what
 			// actually happened: a load or a build.
 			span.Rename("synopsis." + string(source))
 			out[i] = prepared{set: set, source: source, prep: time.Since(start), err: err}
+			if err == nil && cfg.Exact != nil {
+				span := spans[i].StartChild("exact")
+				out[i].exact, out[i].err = exactBaseline(set, cfg.Exact)
+				span.End()
+			}
 		}(i)
 	}
 	wg.Wait()
 	return out
 }
 
-// Run measures every configured scheme on every pair of the workload,
-// using level(pair) as the x-axis value. The synopsis of each pair is
-// computed once and shared across schemes, as in Section 5; with a
-// cache configured, it is loaded from disk instead whenever the pair's
+// exactBaseline evaluates exact on every tuple of set, recording NaN for
+// tuples whose exact frequency is intractable.
+func exactBaseline(set *synopsis.Set, exact func(*synopsis.Admissible) (float64, error)) ([]float64, error) {
+	out := make([]float64, len(set.Entries))
+	for i := range set.Entries {
+		f, err := exact(set.Entries[i].Pair)
+		switch {
+		case errors.Is(err, synopsis.ErrTooLarge):
+			f = math.NaN()
+		case err != nil:
+			return nil, err
+		}
+		out[i] = f
+	}
+	return out, nil
+}
+
+// Run is the one measurement loop behind figures, the bench and the
+// audit: it runs every configured scheme Reps times over every pair of
+// the workload, using level(pair) as the x-axis value, and emits one
+// Measurement per run. The synopsis of each pair is computed once and
+// shared across schemes and repetitions, as in Section 5; with a cache
+// configured, it is loaded from disk instead whenever the pair's
 // content address hits (the prep phase of a warm run is then pure
-// decoding). Cold synopses are prepared concurrently (Config.
-// BuildWorkers); the scheme measurements themselves stay strictly
-// sequential so timings are never distorted by a concurrent build.
-func Run(w *scenario.Workload, cfg Config, level func(scenario.Pair) float64) (*Figure, error) {
+// decoding). Synopses are prepared concurrently; the scheme runs
+// themselves stay strictly sequential so timings are never distorted by
+// a concurrent build. The figure's series are the per-level reduction
+// of the records; benchtrack and audit reduce the same records to
+// K-run medians and a calibration.
+//
+// ctx aborts the whole run cooperatively: synopsis builds and
+// estimations observe it at their usual poll points and Run returns an
+// error wrapping estimator.ErrCanceled.
+func Run(ctx context.Context, w *scenario.Workload, cfg Config, level func(scenario.Pair) float64) (*Figure, error) {
 	schemes := cfg.Schemes
 	if len(schemes) == 0 {
 		schemes = cqa.Schemes
 	}
+	reps := max(cfg.Reps, 1)
 	fig := &Figure{Title: w.Name, XLabel: "level"}
 	fig.Manifest = runManifest(w.Name, cfg, schemes)
 	reg := obs.Default()
-	perScheme := make(map[cqa.Scheme]map[float64][]Measurement)
 	for _, s := range schemes {
-		perScheme[s] = make(map[float64][]Measurement)
 		// Eager registration: the timeout counters must be scrapeable (at
 		// zero) even before the first timeout occurs.
 		reg.Counter("harness_timeouts_total", obs.L("scheme", s.String()))
 	}
 	pairSpans := make([]*obs.Span, len(w.Pairs))
-	preps := prepare(w, cfg, pairSpans)
+	preps := prepare(ctx, w, cfg, pairSpans)
+	defer func() {
+		for _, ps := range pairSpans {
+			ps.End()
+		}
+	}()
 	for i, pair := range w.Pairs {
-		pairSpan := pairSpans[i]
 		if preps[i].err != nil {
-			for _, ps := range pairSpans[i:] {
-				ps.End()
-			}
 			return nil, fmt.Errorf("harness: %s: %w", pair.Name, preps[i].err)
 		}
-		set, prep := preps[i].set, preps[i].prep
-		fig.PrepTimes = append(fig.PrepTimes, prep)
+		fig.PrepTimes = append(fig.PrepTimes, preps[i].prep)
 		fig.Balances = append(fig.Balances, pair.Balance)
-		lv := level(pair)
+		pctx := obs.ContextWithSpan(ctx, pairSpans[i])
 		for _, s := range schemes {
-			opts := cfg.Opts
-			if cfg.Timeout > 0 {
-				opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
-			}
-			start := time.Now()
-			_, stats, err := cqa.ApxAnswersFromSetTracedContext(cfg.context(), set, s, opts, pairSpan)
-			elapsed := time.Since(start)
-			m := Measurement{
-				Pair:       pair.Name,
-				Scheme:     s,
-				Level:      lv,
-				Elapsed:    elapsed,
-				Prep:       prep,
-				Samples:    stats.Samples,
-				Tuples:     stats.NumTuples,
-				PrepSource: string(preps[i].source),
-			}
-			if err != nil {
-				if !errors.Is(err, estimator.ErrBudget) {
-					for _, ps := range pairSpans[i:] {
-						ps.End()
-					}
+			for rep := 0; rep < reps; rep++ {
+				m, err := runOnce(pctx, preps[i], s, rep, cfg)
+				if err != nil {
 					return nil, fmt.Errorf("harness: %s %v: %w", pair.Name, s, err)
 				}
-				m.TimedOut = true
-				m.Elapsed = cfg.Timeout
-				// An aborted invocation's partial sample/prep figures are
-				// not comparable to completed runs; report zeros and a
-				// distinct reason instead.
-				m.Samples = 0
-				m.Prep = 0
-				m.Reason = "timeout"
-				reg.Counter("harness_timeouts_total", obs.L("scheme", s.String())).Inc()
-			}
-			m.Stages = stagesForElapsed(stats.Stages, m.Elapsed)
-			fig.Raw = append(fig.Raw, m)
-			perScheme[s][lv] = append(perScheme[s][lv], m)
-			if cfg.Progress != nil {
-				cfg.Progress(m)
+				m.Pair, m.Level = pair.Name, level(pair)
+				fig.Raw = append(fig.Raw, m)
+				if cfg.Progress != nil {
+					cfg.Progress(m)
+				}
 			}
 		}
-		pairSpan.End()
+		pairSpans[i].End()
 	}
+	fig.Series = seriesOf(fig.Raw, schemes)
+	return fig, nil
+}
+
+// runOnce runs scheme s over one prepared pair under the per-run
+// timeout. A run that exhausts its budget is a timeout: it reports the
+// nominal timeout as its latency, zero samples and prep, and the
+// "timeout" reason — the only place that accounting lives.
+func runOnce(ctx context.Context, p prepared, s cqa.Scheme, rep int, cfg Config) (Measurement, error) {
+	opts := cfg.Opts
+	if cfg.Reseed {
+		opts.Seed = repSeed(opts.Seed, rep)
+	}
+	if cfg.Timeout > 0 {
+		opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
+	}
+	if p.exact != nil {
+		// Convergence recording is passive (bit-identical estimates);
+		// its final point carries each tuple's draw count.
+		opts.Convergence = cqa.ConvergenceOptions{Enabled: true, MaxPoints: 2, MaxTuples: len(p.exact)}
+	}
+	start := time.Now()
+	res, stats, err := cqa.ApxAnswersFromSetContext(ctx, p.set, s, opts)
+	m := Measurement{
+		Scheme:     s,
+		Rep:        rep,
+		Elapsed:    time.Since(start),
+		Prep:       p.prep,
+		Samples:    stats.Samples,
+		Tuples:     stats.NumTuples,
+		PrepSource: string(p.source),
+		Exact:      p.exact,
+	}
+	switch {
+	case errors.Is(err, estimator.ErrBudget):
+		m.TimedOut = true
+		m.Elapsed = cfg.Timeout
+		m.Samples = 0
+		m.Prep = 0
+		m.Reason = "timeout"
+		obs.Default().Counter("harness_timeouts_total", obs.L("scheme", s.String())).Inc()
+	case err != nil:
+		return m, err
+	case p.exact != nil:
+		m.Estimates = make([]float64, len(res))
+		for i, tf := range res {
+			m.Estimates[i] = tf.Freq
+		}
+		m.TupleSamples = make([]int64, len(res))
+		for _, tr := range stats.Convergence {
+			if n := len(tr.Points); n > 0 {
+				m.TupleSamples[tr.Tuple] = tr.Points[n-1].Samples
+			}
+		}
+	}
+	m.Stages = stagesForElapsed(stats.Stages, m.Elapsed)
+	return m, nil
+}
+
+// seriesOf reduces the records to one curve per scheme: per level, the
+// mean latency over the level's runs and the timeout count.
+func seriesOf(raw []Measurement, schemes []cqa.Scheme) []Series {
+	out := make([]Series, 0, len(schemes))
 	for _, s := range schemes {
+		byLevel := make(map[float64][]Measurement)
 		var levels []float64
-		for lv := range perScheme[s] {
-			levels = append(levels, lv)
+		for _, m := range raw {
+			if m.Scheme != s {
+				continue
+			}
+			if _, ok := byLevel[m.Level]; !ok {
+				levels = append(levels, m.Level)
+			}
+			byLevel[m.Level] = append(byLevel[m.Level], m)
 		}
 		sort.Float64s(levels)
 		series := Series{Scheme: s}
 		for _, lv := range levels {
-			ms := perScheme[s][lv]
+			ms := byLevel[lv]
 			var sum time.Duration
 			timeouts := 0
 			for _, m := range ms {
@@ -298,9 +379,9 @@ func Run(w *scenario.Workload, cfg Config, level func(scenario.Pair) float64) (*
 				Count:    len(ms),
 			})
 		}
-		fig.Series = append(fig.Series, series)
+		out = append(out, series)
 	}
-	return fig, nil
+	return out
 }
 
 // runManifest builds the run's provenance record from the harness
@@ -362,8 +443,8 @@ func stagesForElapsed(stages []obs.Stage, elapsed time.Duration) []obs.Stage {
 }
 
 // RunNoise produces a Noise[balance, joins] figure: x-axis = noise %.
-func RunNoise(w *scenario.Workload, cfg Config) (*Figure, error) {
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise * 100 })
+func RunNoise(ctx context.Context, w *scenario.Workload, cfg Config) (*Figure, error) {
+	fig, err := Run(ctx, w, cfg, func(p scenario.Pair) float64 { return p.Noise * 100 })
 	if err == nil {
 		fig.XLabel = "Noise (%)"
 	}
@@ -372,8 +453,8 @@ func RunNoise(w *scenario.Workload, cfg Config) (*Figure, error) {
 
 // RunBalance produces a Balance[noise, joins] figure: x-axis = target
 // balance %.
-func RunBalance(w *scenario.Workload, cfg Config) (*Figure, error) {
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Target * 100 })
+func RunBalance(ctx context.Context, w *scenario.Workload, cfg Config) (*Figure, error) {
+	fig, err := Run(ctx, w, cfg, func(p scenario.Pair) float64 { return p.Target * 100 })
 	if err == nil {
 		fig.XLabel = "Balance (%)"
 	}
@@ -381,8 +462,8 @@ func RunBalance(w *scenario.Workload, cfg Config) (*Figure, error) {
 }
 
 // RunJoins produces a Joins[noise, balance] figure: x-axis = join count.
-func RunJoins(w *scenario.Workload, cfg Config) (*Figure, error) {
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return float64(p.Joins) })
+func RunJoins(ctx context.Context, w *scenario.Workload, cfg Config) (*Figure, error) {
+	fig, err := Run(ctx, w, cfg, func(p scenario.Pair) float64 { return float64(p.Joins) })
 	if err == nil {
 		fig.XLabel = "Joins"
 	}
@@ -390,8 +471,8 @@ func RunJoins(w *scenario.Workload, cfg Config) (*Figure, error) {
 }
 
 // RunValidation produces a Validation[Q] figure: x-axis = noise %.
-func RunValidation(w *scenario.Workload, cfg Config) (*Figure, error) {
-	return RunNoise(w, cfg)
+func RunValidation(ctx context.Context, w *scenario.Workload, cfg Config) (*Figure, error) {
+	return RunNoise(ctx, w, cfg)
 }
 
 // BalanceStats returns the average and standard deviation of the achieved

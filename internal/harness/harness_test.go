@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestRunNoiseFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := RunNoise(context.Background(), w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestRunBalanceFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunBalance(w, fastConfig())
+	fig, err := RunBalance(context.Background(), w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestRunJoinsAndShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunJoins(w, fastConfig())
+	fig, err := RunJoins(context.Background(), w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestTimeoutsAreReported(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Opts.Budget.MaxSamples = 10 // force budget exhaustion
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(context.Background(), w, cfg, func(p scenario.Pair) float64 { return p.Noise })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestTableRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := RunNoise(context.Background(), w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := RunNoise(context.Background(), w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestWinnerAndTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := RunNoise(context.Background(), w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestValidationRun(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Timeout = time.Second // timeouts are expected and recorded
-	fig, err := RunValidation(w, cfg)
+	fig, err := RunValidation(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

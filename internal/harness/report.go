@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -43,7 +44,7 @@ func DefaultReportConfig() ReportConfig {
 // writes a markdown report: per scenario a table (and optionally a chart),
 // plus winner-per-scenario and preprocessing summaries. It is the
 // machinery behind `cqabench report`.
-func WriteReport(w io.Writer, lab *scenario.Lab, cfg ReportConfig) error {
+func WriteReport(ctx context.Context, w io.Writer, lab *scenario.Lab, cfg ReportConfig) error {
 	fmt.Fprintf(w, "# cqabench report\n\ngenerated %s; eps=%.2f delta=%.2f timeout=%s\n\n",
 		time.Now().UTC().Format(time.RFC3339), cfg.Harness.Opts.Eps, cfg.Harness.Opts.Delta, cfg.Harness.Timeout)
 
@@ -68,7 +69,7 @@ func WriteReport(w io.Writer, lab *scenario.Lab, cfg ReportConfig) error {
 			if err != nil {
 				return err
 			}
-			fig, err := RunNoise(wl, cfg.Harness)
+			fig, err := RunNoise(ctx, wl, cfg.Harness)
 			if err != nil {
 				return err
 			}
@@ -80,7 +81,7 @@ func WriteReport(w io.Writer, lab *scenario.Lab, cfg ReportConfig) error {
 		if err != nil {
 			return err
 		}
-		fig, err := RunBalance(wl, cfg.Harness)
+		fig, err := RunBalance(ctx, wl, cfg.Harness)
 		if err != nil {
 			return err
 		}
@@ -91,7 +92,7 @@ func WriteReport(w io.Writer, lab *scenario.Lab, cfg ReportConfig) error {
 		if err != nil {
 			return err
 		}
-		fig, err := RunJoins(wl, cfg.Harness)
+		fig, err := RunJoins(ctx, wl, cfg.Harness)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	cfg.Harness.Timeout = 4 * time.Second
 	var b strings.Builder
-	if err := WriteReport(&b, l, cfg); err != nil {
+	if err := WriteReport(context.Background(), &b, l, cfg); err != nil {
 		t.Fatal(err)
 	}
 	rep := b.String()
@@ -37,11 +38,4 @@ func TestWriteReport(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, rep[:min(len(rep), 2000)])
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -32,10 +33,9 @@ func TestWarmRunEqualsCold(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Cache = cache
-	cfg.BuildWorkers = 4
 
 	stores0, builds0 := counterValue("syncache_stores_total"), counterValue("synopsis_builds_total")
-	cold, err := RunNoise(w, cfg)
+	cold, err := RunNoise(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestWarmRunEqualsCold(t *testing.T) {
 	}
 
 	hits0, builds0 := counterValue("syncache_hits_total"), counterValue("synopsis_builds_total")
-	warm, err := RunNoise(w, cfg)
+	warm, err := RunNoise(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestLoadedSynopsisMatchesBuilt(t *testing.T) {
 			t.Fatalf("%s: loaded synopsis differs from built", pair.Name)
 		}
 		opts := cqa.Options{Eps: 0.25, Delta: 0.3, Seed: 5489}
-		wantAns, wantStats, err := cqa.ApxAnswersFromSet(built, cqa.KLM, opts)
+		wantAns, wantStats, err := cqa.ApxAnswersFromSetContext(context.Background(), built, cqa.KLM, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotAns, gotStats, err := cqa.ApxAnswersFromSet(loaded, cqa.KLM, opts)
+		gotAns, gotStats, err := cqa.ApxAnswersFromSetContext(context.Background(), loaded, cqa.KLM, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestTimedOutMeasurementsAreZeroed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Timeout = time.Second
 	cfg.Opts.Budget.MaxSamples = 10 // force budget exhaustion for every scheme
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(context.Background(), w, cfg, func(p scenario.Pair) float64 { return p.Noise })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRunManifestAndTracePlumbing(t *testing.T) {
 	cfg.Timeout = 5 * time.Second
 	root := obs.NewSpan("test.run")
 	cfg.Trace = root
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(context.Background(), w, cfg, func(p scenario.Pair) float64 { return p.Noise })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestStagesSumToElapsed(t *testing.T) {
 	cfg.Timeout = 5 * time.Second
 	var progressed int
 	cfg.Progress = func(Measurement) { progressed++ }
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(context.Background(), w, cfg, func(p scenario.Pair) float64 { return p.Noise })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,7 +284,17 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	} else {
 		sp = NewSpan(name)
 	}
-	return context.WithValue(ctx, spanCtxKey{}, sp), sp
+	return ContextWithSpan(ctx, sp), sp
+}
+
+// ContextWithSpan returns a derived context carrying sp, so work started
+// under it (cqa.ApxAnswersFromSetContext, nested StartSpan calls)
+// attaches its spans as children of sp. A nil sp returns ctx unchanged.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanCtxKey{}, sp)
 }
 
 // FromContext returns the span carried by ctx, or nil.

@@ -251,8 +251,12 @@ func TestQuota429HeadersAndEnvelope(t *testing.T) {
 		e.Error.Instance != "limited" || e.Error.RetryAfterMS <= 0 {
 		t.Fatalf("quota envelope = %+v", e.Error)
 	}
-	if e.Code != "quota_exceeded" {
-		t.Fatalf("legacy code mirror = %q", e.Code)
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(resp), &top); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := top["code"]; ok {
+		t.Fatalf("429 body %q still carries a top-level code key", resp)
 	}
 	reg := s.Registry()
 	if v := reg.Counter("server_quota_rejections_total",

@@ -111,9 +111,9 @@ func TestEstimateHandlerTable(t *testing.T) {
 				if e.Error.Message == "" {
 					t.Fatalf("error %q without a message", tc.code)
 				}
-				// Deprecated flat mirrors stay for one release.
-				if e.Code != tc.code || e.Message != e.Error.Message {
-					t.Fatalf("legacy mirror fields out of sync: %s", body)
+				var top map[string]json.RawMessage
+				if err := json.Unmarshal([]byte(body), &top); err != nil || len(top) != 1 {
+					t.Fatalf("error body has keys beyond \"error\": %s", body)
 				}
 			}
 		})
