@@ -6,8 +6,9 @@ GO ?= go
 
 all: build vet test
 
-# The CI gate: vet, formatting, the race-sensitive subset, and docs
-# consistency (every flag the docs mention must exist in cqabench -h,
+# The CI gate: vet, formatting, the race-sensitive subset, the
+# benchmark module's own tests (cqaperf is a nested module, so ./...
+# skips it), and docs consistency (every flag the docs mention must exist in cqabench -h,
 # every documented /v1/ and /debug/ endpoint must be registered).
 check:
 	$(GO) vet ./...
@@ -22,6 +23,7 @@ check:
 	$(GO) test -race -run 'TestKernel|TestGolden' ./internal/cqa/...
 	$(GO) test -race -run 'TestSubstream|TestParallel' ./internal/mt ./internal/estimator ./internal/cqa ./internal/server
 	$(GO) test -race ./internal/audit/...
+	cd cqaperf && GOFLAGS=-mod=mod $(GO) vet . && GOFLAGS=-mod=mod $(GO) test .
 	$(GO) build -o /tmp/cqabench-docscheck ./cmd/cqabench
 	$(GO) run ./cmd/docscheck -bin /tmp/cqabench-docscheck \
 		-endpoints-dir internal/server,internal/obs \

@@ -60,14 +60,13 @@ func ApproximateFromSynopsis(set *Synopsis, scheme Scheme, opts Options) ([]Tupl
 	return cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 }
 
-// ApproximateParallelContext fans the per-tuple estimations over a
-// worker pool (workers <= 0 selects GOMAXPROCS). Results are
-// deterministic for a fixed seed regardless of the worker count, and
-// every worker observes ctx cancellation within about one sampling
-// chunk. Tuple-level fan-out composes with the intra-query substream
-// pool selected by Options.SamplingWorkers: both derive the same
-// per-tuple root seeds, so a tuple's result is identical whichever
-// pool (or both) computed it.
+// ApproximateParallelContext runs the parallel schedule on one worker
+// pool (workers <= 0 selects GOMAXPROCS): the pool fans out over tuples
+// or, for sets with fewer tuples than workers, over each tuple's draws.
+// Results are deterministic for a fixed seed regardless of the worker
+// count and equal ApproximateContext with Options.SamplingWorkers ≥ 2
+// (the two-schedule contract, docs/ARCHITECTURE.md). Every worker
+// observes ctx cancellation within about one sampling chunk.
 func ApproximateParallelContext(ctx context.Context, set *Synopsis, scheme Scheme, opts Options, workers int) ([]TupleFreq, Stats, error) {
 	return cqa.ApxAnswersParallelContext(ctx, set, scheme, opts, workers)
 }
@@ -75,7 +74,7 @@ func ApproximateParallelContext(ctx context.Context, set *Synopsis, scheme Schem
 // ApproximateParallel is ApproximateParallelContext with
 // context.Background().
 func ApproximateParallel(set *Synopsis, scheme Scheme, opts Options, workers int) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswersParallel(set, scheme, opts, workers)
+	return cqa.ApxAnswersParallelContext(context.Background(), set, scheme, opts, workers)
 }
 
 // SelectScheme picks the indicated scheme for a synopsis per the paper's

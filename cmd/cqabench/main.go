@@ -273,7 +273,7 @@ func cmdAnswer(args []string) error {
 	delta := fs.Float64("delta", 0.25, "failure probability")
 	seed := fs.Uint64("seed", 5489, "PRNG seed")
 	timeout := fs.Duration("timeout", 0, "per-tuple estimation timeout (0 = none)")
-	workers := fs.Int("parallel", 0, "parallel sampling workers (0 = sequential)")
+	workers := fs.Int("parallel", 0, "worker pool size of the parallel schedule (0 = sequential schedule)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -303,7 +303,7 @@ func cmdAnswer(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, stats, err = cqa.ApxAnswersParallel(set, scheme, opts, *workers)
+		res, stats, err = cqa.ApxAnswersParallelContext(context.Background(), set, scheme, opts, *workers)
 		if err != nil {
 			return err
 		}

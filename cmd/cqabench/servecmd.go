@@ -95,7 +95,7 @@ func cmdServe(args []string) error {
 	workRate := fs.Float64("default-work-rate", 0, "default per-instance sampling worker-seconds accrued per second (0 = unlimited)")
 	workBurst := fs.Float64("default-work-burst", 0, "default per-instance sampling work bucket capacity in worker-seconds (0 = max(1, rate))")
 	maxConcurrent := fs.Int("default-max-concurrent", 0, "default per-instance cap on concurrently running requests (0 = none)")
-	samplingWorkers := fs.Int("sampling-workers", 0, "default intra-query sampling pool per estimate (0/1 = sequential, N = N substream workers, -1 = auto)")
+	samplingWorkers := fs.Int("sampling-workers", 0, "default draw schedule per estimate (0/1 = sequential, N = parallel on a pool of N workers, -1 = GOMAXPROCS)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request deadline when the client sends no timeout_ms")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on client-requested timeouts")
 	maxBody := fs.Int64("max-body", 1<<20, "request body size cap in bytes")

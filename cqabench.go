@@ -24,7 +24,10 @@
 // they honor cancellation and deadlines within about one sampling chunk
 // and report failures through the sentinel errors ErrBudget, ErrCanceled
 // and ErrInvalidOptions. The context-free forms remain as
-// context.Background() wrappers.
+// context.Background() wrappers. Estimates follow one of two draw
+// schedules, sequential or parallel, picked by Options.SamplingWorkers
+// or by ApproximateParallelContext; docs/ARCHITECTURE.md ("The
+// two-schedule contract") states what each one draws.
 //
 // A minimal session:
 //

@@ -28,10 +28,10 @@ type Spec struct {
 	Balance float64 `json:"balance"`
 	Joins   int     `json:"joins"` // fixed join level (noise, balance families)
 	Level   float64 `json:"level"` // the varied parameter's single value
-	// SamplingWorkers, when ≥ 2, runs the scenario's estimates through
-	// the intra-query substream pool (cqa.Options.SamplingWorkers); 0/1
-	// is the sequential path. Parallel entries are directly comparable
-	// to their sequential twin: same seed, worker-invariant results.
+	// SamplingWorkers, when ≥ 2, runs the scenario's estimates on the
+	// parallel schedule (cqa.Options.SamplingWorkers); 0/1 is the
+	// sequential one. Parallel entries are directly comparable to their
+	// sequential twin: same seed, worker-invariant results.
 	SamplingWorkers int `json:"sampling_workers,omitempty"`
 }
 

@@ -56,7 +56,7 @@ func Run(ctx context.Context, specs []Spec, tier string, cfg harness.Config) (Re
 		if err != nil {
 			return res, fmt.Errorf("benchtrack: %s: %w", spec.Name, err)
 		}
-		// A spec may pin an intra-query sampling pool; the override lives
+		// A spec may pin a parallel-schedule pool; the override lives
 		// on the per-spec copy so other specs keep the invocation's default.
 		scfg := cfg
 		if spec.SamplingWorkers != 0 {

@@ -67,8 +67,8 @@ func TestEntryPointsValidateOptions(t *testing.T) {
 	if _, _, err := ApxAnswersFromSetContext(context.Background(), set, KLM, bad); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("ApxAnswersFromSetContext: %v", err)
 	}
-	if _, _, err := ApxAnswersParallel(set, KLM, bad, 2); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("ApxAnswersParallel: %v", err)
+	if _, _, err := ApxAnswersParallelContext(context.Background(), set, KLM, bad, 2); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("ApxAnswersParallelContext: %v", err)
 	}
 	if _, _, err := ApxAnswers(db, q, KLM, bad); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("ApxAnswers: %v", err)

@@ -131,7 +131,7 @@ func TestConvergenceParallelMatchesSequential(t *testing.T) {
 	set := convergenceSet(t)
 	opts := DefaultOptions()
 	opts.Convergence.Enabled = true
-	_, par, err := ApxAnswersParallel(set, KLM, opts, 3)
+	_, par, err := ApxAnswersParallelContext(context.Background(), set, KLM, opts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

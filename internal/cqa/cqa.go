@@ -80,27 +80,22 @@ type Options struct {
 	// Deadline, if set, also bounds the run as a whole, mirroring the
 	// paper's per-scenario timeout.
 	Budget estimator.Budget
-	// SamplingWorkers selects the intra-query sampling mode: 0 or 1 run
-	// the classic sequential single-stream estimators (the default,
-	// bit-identical to every release before the parallel path existed);
-	// n ≥ 2 fan each tuple's draws over n workers via seed-derived
-	// per-chunk substreams (estimator.MonteCarloParallel), and -1 sizes
-	// that pool automatically (GOMAXPROCS). Parallel-mode estimates are
-	// deterministic for a fixed Seed and identical for every pool size —
-	// workers only change wall-clock time — but they consume a different
-	// (substream-keyed) draw schedule than the sequential mode, so the
-	// two modes' estimates differ for the same seed. Cover always runs
-	// sequentially: its adaptive walk has data-dependent control flow
-	// that cannot be pre-chunked. Values below -1 fail Validate.
+	// SamplingWorkers selects the draw schedule (the two-schedule
+	// contract, docs/ARCHITECTURE.md): 0 or 1 run the sequential
+	// schedule (the default); n ≥ 2 run the parallel schedule on one
+	// pool of n workers, and -1 sizes that pool automatically
+	// (GOMAXPROCS). Parallel estimates are identical for every pool size
+	// but differ from sequential ones for the same seed. Values below -1
+	// fail Validate.
 	SamplingWorkers int
 	// Convergence opts the run into per-tuple convergence-trajectory
 	// recording (off by default; see ConvergenceOptions).
 	Convergence ConvergenceOptions
 }
 
-// samplingPool resolves SamplingWorkers to the effective intra-query
-// pool size and mode. The pool size goes through poolWorkers, the same
-// clamp the tuple-parallel pool (ApxAnswersParallel) uses.
+// samplingPool resolves SamplingWorkers to the pool size and whether
+// the parallel schedule is selected. The pool size goes through
+// poolWorkers, the same clamp ApxAnswersParallelContext uses.
 func (o Options) samplingPool() (workers int, parallel bool) {
 	if o.SamplingWorkers == 0 || o.SamplingWorkers == 1 {
 		return 1, false
@@ -108,9 +103,9 @@ func (o Options) samplingPool() (workers int, parallel bool) {
 	return poolWorkers(o.SamplingWorkers), true
 }
 
-// SamplingPool resolves a SamplingWorkers setting to the effective
-// intra-query pool size and whether the parallel sampling mode is
-// selected — the same resolution the estimators apply. Exposed so
+// SamplingPool resolves a SamplingWorkers setting to the pool size and
+// whether the parallel schedule is selected — the same resolution the
+// estimators apply. Exposed so
 // callers (the estimation service's metrics, coalescing keys) can
 // canonicalize settings that behave identically (e.g. 0 and 1 are both
 // the sequential mode).
@@ -159,28 +154,29 @@ type TupleFreq struct {
 
 // Stats reports the work an approximation run performed.
 type Stats struct {
-	Samples    int64
-	Elapsed    time.Duration
-	PrepTime   time.Duration // synopsis construction, when done here
-	NumTuples  int
-	NumSamples int64 // alias of Samples kept for CSV column naming
+	Samples   int64
+	Elapsed   time.Duration
+	PrepTime  time.Duration // synopsis construction, when done here
+	NumTuples int
 	// GoodRatio is the samples-weighted mean of the per-tuple good-sample
 	// ratios: the estimator's raw mean in the sampler's own space (before
 	// the |S•|/|db(B)| reweighting for KL/KLM). It quantifies how often a
 	// draw contributes signal — the r-goodness the schemes' sample
 	// complexity depends on.
 	GoodRatio float64
-	// SamplingWorkers is the effective intra-query pool size the run used
-	// (see Options.SamplingWorkers): 1 for the sequential mode and for
-	// Cover, which always runs sequentially.
+	// SamplingWorkers is the size of the run's one worker pool: 1 for
+	// the sequential schedule; for the parallel schedule the requested
+	// pool, or the tuple count when Cover (which fans out over tuples
+	// only) has fewer tuples than workers.
 	SamplingWorkers int
-	// Chunks counts the 256-draw substream chunks the parallel sampling
-	// path consumed across all tuples; 0 for sequential-mode runs.
+	// Chunks counts the 256-draw substream chunks the parallel schedule
+	// consumed across all tuples; 0 for sequential runs.
 	Chunks int64
 	// Stages is the wall-time breakdown of the run (sampler.init.<kernel>
 	// — the kernel suffix records the shape-based plain/indexed choice —
-	// estimate, other), from the run's span tree. Empty for parallel runs,
-	// where per-worker wall times overlap and cannot be summed.
+	// estimate, other), from the run's span tree. When the parallel
+	// schedule fans out over tuples, the stages sum every worker's time,
+	// so they can add up to more than Elapsed.
 	Stages []obs.Stage
 	// Convergence holds the recorded per-tuple trajectories when
 	// Options.Convergence.Enabled was set; nil otherwise.
@@ -190,10 +186,14 @@ type Stats struct {
 // ApxRelativeFreq approximates R(H, B) for a single admissible pair with
 // the chosen scheme: the body of ApxRelativeFreq in Algorithm 1 after the
 // preprocessing step has established H ≠ ∅.
-// When opts select the parallel sampling mode, the substream schedule
-// is rooted at opts.Seed and src is consulted only by Cover.
+// When opts select the parallel schedule, the substreams are rooted at
+// opts.Seed and src is consulted only by Cover.
 func ApxRelativeFreq(pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source) (float64, int64, error) {
-	res, err := apxRelativeFreq(context.Background(), pair, scheme, opts, src, opts.Seed, nil)
+	workers, parallel := opts.samplingPool()
+	if !parallel {
+		workers = 0
+	}
+	res, err := apxRelativeFreq(context.Background(), pair, scheme, opts, src, opts.Seed, workers, nil)
 	return res.freq, res.samples, err
 }
 
@@ -204,7 +204,7 @@ type tupleResult struct {
 	freq    float64
 	samples int64
 	good    float64
-	chunks  int64 // substream chunks consumed (parallel mode only)
+	chunks  int64 // substream chunks consumed (parallel schedule only)
 	// trajectory is the recorded convergence trajectory, nil unless
 	// opts.Convergence.Enabled was set for this tuple.
 	trajectory []estimator.TrajectoryPoint
@@ -246,11 +246,11 @@ func newKernelSampler(pair *synopsis.Admissible, scheme Scheme, kernel sampler.K
 // estimation loops' chunk boundaries, never perturbing the PRNG stream
 // of an uncancelled run.
 //
-// rootSeed roots this tuple's substream schedule when opts select the
-// parallel sampling mode (for multi-tuple runs, the caller derives it
-// per tuple via tupleSeed so every tuple sees independent substreams);
-// the sequential mode and Cover draw from src and never read rootSeed.
-func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source, rootSeed uint64, parent *obs.Span) (tupleResult, error) {
+// workers picks the draw supply of Natural, KL and KLM: 0 draws from
+// src (the sequential schedule); n ≥ 1 draws chunk k from
+// mt.Substream(root, k), computed by n workers (1 = inline on the
+// caller's goroutine). Cover always draws from src.
+func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source, root uint64, workers int, parent *obs.Span) (tupleResult, error) {
 	var rec *estimator.Recorder
 	if opts.Convergence.Enabled {
 		rec = estimator.NewRecorder(opts.Convergence.MaxPoints)
@@ -267,7 +267,7 @@ func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Sche
 	)
 	if scheme == Cover {
 		// Coverage probes images adaptively (data-dependent control flow);
-		// it always runs on the plain symbolic space, sequentially.
+		// it always runs on the plain symbolic space, on one stream.
 		space = sampler.NewSymbolic(pair)
 	} else {
 		s, weight = newKernelSampler(pair, scheme, kernel)
@@ -283,13 +283,12 @@ func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Sche
 	sp = parent.StartChild("estimate")
 	var r estimator.Result
 	var err error
-	workers, parallelDraws := opts.samplingPool()
 	switch {
 	case space != nil:
 		r, err = estimator.SelfAdjustingCoverageContext(ctx, space, opts.Eps, opts.Delta, src, opts.Budget)
-	case parallelDraws:
+	case workers > 0:
 		p := estimator.Parallel{
-			Seed:       rootSeed,
+			Seed:       root,
 			Workers:    workers,
 			NewSampler: func() estimator.Sampler { s, _ := newKernelSampler(pair, scheme, kernel); return s },
 		}
@@ -338,7 +337,9 @@ func recordRunMetrics(scheme Scheme, stats Stats, err error) {
 // ApxAnswersFromSetContext runs ApxCQA[scheme] over a precomputed
 // synopsis set: one relative-frequency approximation per answer tuple.
 // This is the measured phase of the paper's experiments (preprocessing
-// excluded). It validates opts before any work starts. ctx is polled at
+// excluded). opts.SamplingWorkers picks the schedule (see parallel.go):
+// 0/1 the sequential one, otherwise the parallel one on a pool of that
+// size. It validates opts before any work starts. ctx is polled at
 // the estimators' chunk boundaries, so an abort is observed within about
 // one 256-draw chunk and reported as an error wrapping
 // estimator.ErrCanceled; uncancelled runs are bit-identical whatever the
@@ -347,53 +348,8 @@ func recordRunMetrics(scheme Scheme, stats Stats, err error) {
 // becomes its child — this is how the harness's -trace-out plumbing and
 // the estimation service's per-request traces capture the cqa breakdown.
 func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	root := obs.FromContext(ctx).StartChild("cqa." + scheme.String())
-	if root == nil {
-		root = obs.NewSpan("cqa." + scheme.String())
-	}
-	src := mt.New(opts.Seed)
-	out := make([]TupleFreq, 0, len(set.Entries))
-	var stats Stats
-	stats.SamplingWorkers = 1
-	if w, par := opts.samplingPool(); par && scheme != Cover {
-		stats.SamplingWorkers = w
-	}
-	var goodSum float64 // per-tuple good ratios weighted by sample count
-	finish := func(err error) {
-		root.End()
-		stats.Elapsed = root.Duration()
-		stats.Stages = root.Stages()
-		if stats.Samples > 0 {
-			stats.GoodRatio = goodSum / float64(stats.Samples)
-		}
-		recordRunMetrics(scheme, stats, err)
-	}
-	for i := range set.Entries {
-		e := &set.Entries[i]
-		o := opts
-		o.Convergence.Enabled = opts.Convergence.records(i)
-		res, err := apxRelativeFreq(ctx, e.Pair, scheme, o, src, tupleSeed(opts.Seed, i), root)
-		stats.Samples += res.samples
-		stats.Chunks += res.chunks
-		goodSum += res.good * float64(res.samples)
-		if res.trajectory != nil {
-			stats.Convergence = append(stats.Convergence, TupleTrajectory{Tuple: i, Points: res.trajectory})
-		}
-		if err != nil {
-			finish(err)
-			return nil, stats, fmt.Errorf("cqa: tuple %d: %w", i, err)
-		}
-		out = append(out, TupleFreq{Tuple: e.Tuple, Freq: res.freq})
-	}
-	stats.NumTuples = len(out)
-	finish(nil)
-	return out, stats, nil
+	workers, parallel := opts.samplingPool()
+	return apxAnswers(ctx, set, scheme, opts, workers, parallel)
 }
 
 // ApxAnswers is the end-to-end ApxCQA[scheme]: it builds syn_{Σ,Q}(D)

@@ -30,10 +30,11 @@ var updateParallelGolden = flag.Bool("update-parallel-golden", false,
 
 const parallelGoldenPath = "testdata/parallel_golden.json"
 
-// parallelGoldenGrid runs the kernel golden grid in parallel sampling
-// mode. Cover is included deliberately: it always runs sequentially, so
-// its parallel-mode values must equal its kernel-golden values — pinned
-// here so a future change cannot silently route it through the pool.
+// parallelGoldenGrid runs the kernel golden grid on the parallel
+// schedule. Cover is included deliberately: it draws from one stream,
+// mt.New(root), and a single pair's root is the seed, so its values
+// must equal its kernel-golden values — pinned here so a future change
+// cannot silently split its draws.
 func parallelGoldenGrid() []goldenCase {
 	const workers = 3
 	var out []goldenCase

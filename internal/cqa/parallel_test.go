@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -18,7 +19,7 @@ func TestParallelMatchesAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, scheme := range Schemes {
-		res, stats, err := ApxAnswersParallel(set, scheme, DefaultOptions(), 4)
+		res, stats, err := ApxAnswersParallelContext(context.Background(), set, scheme, DefaultOptions(), 4)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -41,11 +42,11 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	one, _, err := ApxAnswersParallel(set, KLM, opts, 1)
+	one, _, err := ApxAnswersParallelContext(context.Background(), set, KLM, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, _, err := ApxAnswersParallel(set, KLM, opts, 8)
+	eight, _, err := ApxAnswersParallelContext(context.Background(), set, KLM, opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestParallelPreservesTupleOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ApxAnswersParallel(set, Natural, DefaultOptions(), 3)
+	res, _, err := ApxAnswersParallelContext(context.Background(), set, Natural, DefaultOptions(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestParallelBudgetError(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Budget = estimator.Budget{MaxSamples: 2}
-	_, stats, err := ApxAnswersParallel(set, Natural, opts, 4)
+	_, stats, err := ApxAnswersParallelContext(context.Background(), set, Natural, opts, 4)
 	if !errors.Is(err, estimator.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -104,7 +105,7 @@ func TestParallelDefaultWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ApxAnswersParallel(set, KL, DefaultOptions(), 0); err != nil {
+	if _, _, err := ApxAnswersParallelContext(context.Background(), set, KL, DefaultOptions(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

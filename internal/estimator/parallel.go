@@ -9,37 +9,39 @@ import (
 	"cqabench/internal/mt"
 )
 
-// Deterministic intra-query parallel sampling.
+// Deterministic substream sampling.
 //
 // The sequential estimators consume one MT19937-64 stream; paralleling
 // that stream directly would make results depend on goroutine timing.
-// Instead, the parallel path splits the draw supply into batchSize-draw
+// Instead, MonteCarloParallel splits the draw supply into batchSize-draw
 // chunks and derives an independent substream per chunk via
 // mt.Substream(seed, chunkIdx) (SeedBySlice over the two-word key — see
 // internal/mt/substream.go). Chunk k's 256 values are a pure function
 // of (seed, k), so any worker may compute any chunk in any order; the
-// consumer folds chunks back strictly by index. The estimation loops
-// (stoppingRuleLoop, monteCarloLoop, fixedSamplesLoop) run unchanged on
+// consumer folds chunks back strictly by index. With one worker the
+// chunks are computed inline, on the caller's goroutine, as the loop
+// reaches them. The estimation loop (monteCarloLoop) runs unchanged on
 // top, so budget-exhaustion accounting, cancellation polling and
 // convergence-recorder points are preserved chunk-for-chunk.
 //
 // Determinism contract (pinned by TestParallelWorkerInvariance and the
 // parallel golden fixture in internal/cqa):
 //
-//   - For a fixed seed, the parallel estimate is byte-identical across
-//     runs AND across worker counts — workers only change wall-clock
-//     time, never the draw schedule.
-//   - The parallel draw schedule is a different (substream-keyed)
-//     stream than the sequential one, so parallel estimates differ from
-//     sequential estimates for the same seed. Sequential callers are
-//     untouched: the pre-existing golden fixtures pin their stream.
+//   - For a fixed seed, the estimate is byte-identical across runs AND
+//     across worker counts, the inline one included — workers only
+//     change wall-clock time, never the draw schedule.
+//   - The substream schedule is a different stream than the sequential
+//     one, so its estimates differ from sequential estimates for the
+//     same seed. Sequential callers are untouched: the kernel golden
+//     fixture pins their stream.
 
 // Parallel configures the parallel draw supply for one estimation run.
 type Parallel struct {
 	// Seed is the root seed; chunk k draws from mt.Substream(Seed, k).
 	Seed uint64
 	// Workers is the pool size (≥ 1). It affects wall-clock time only:
-	// the result is identical for every worker count.
+	// the result is identical for every worker count. One worker runs
+	// inline: no goroutine, no speculative chunks.
 	Workers int
 	// NewSampler builds one sampler per worker. Samplers are stateful
 	// (scratch buffers), so each worker needs its own instance; the
@@ -55,21 +57,6 @@ func (p Parallel) validate() error {
 		return fmt.Errorf("estimator: parallel sampling requires a sampler factory: %w", ErrInvalidOptions)
 	}
 	return nil
-}
-
-// StoppingRuleParallel is StoppingRuleContext drawing from seed-derived
-// per-chunk substreams computed by a worker pool. See the package-level
-// determinism contract above.
-func StoppingRuleParallel(ctx context.Context, p Parallel, eps, delta float64, budget Budget) (Result, error) {
-	if err := p.validate(); err != nil {
-		return Result{}, err
-	}
-	cs := newChunkScheduler(ctx, p)
-	defer cs.stop()
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	res, err := stoppingRuleLoop(ctx, cs, eps, delta, bt)
-	res.Chunks = cs.chunks
-	return res, err
 }
 
 // MonteCarloParallel is MonteCarloContext drawing from seed-derived
@@ -90,22 +77,6 @@ func MonteCarloParallel(ctx context.Context, p Parallel, eps, delta float64, bud
 	return res, err
 }
 
-// FixedSamplesParallel is FixedSamplesContext drawing from seed-derived
-// per-chunk substreams computed by a worker pool.
-func FixedSamplesParallel(ctx context.Context, p Parallel, eps, delta, meanLB float64, budget Budget) (Result, error) {
-	if meanLB <= 0 {
-		return Result{}, fmt.Errorf("estimator: FixedSamples requires a positive mean lower bound: %w", ErrInvalidOptions)
-	}
-	if err := p.validate(); err != nil {
-		return Result{}, err
-	}
-	cs := newChunkScheduler(ctx, p)
-	defer cs.stop()
-	res, err := fixedSamplesLoop(ctx, cs, eps, delta, meanLB, budget)
-	res.Chunks = cs.chunks
-	return res, err
-}
-
 // parChunk is one computed chunk in flight from a worker to the
 // consumer.
 type parChunk struct {
@@ -113,19 +84,21 @@ type parChunk struct {
 	vals []float64
 }
 
-// chunkScheduler is the parallel drawStream: a pool of workers claims
-// chunk indices from an atomic counter, computes each chunk from its
-// own substream, and sends it to the consumer, which reassembles chunks
-// strictly in index order. Speculation is bounded: a worker holds at
-// most one computed chunk while the results channel (capacity =
-// workers) is full, so at most ~2×workers chunks exist beyond the
-// consumer's position and the wasted work on early termination is
-// bounded by the same amount.
+// chunkScheduler is the substream drawStream. With one worker it
+// computes chunk k inline when the loop reaches it. Otherwise a pool of
+// workers claims chunk indices from an atomic counter, computes each
+// chunk from its own substream, and sends it to the consumer, which
+// reassembles chunks strictly in index order. Speculation is bounded: a
+// worker holds at most one computed chunk while the results channel
+// (capacity = workers) is full, so at most ~2×workers chunks exist
+// beyond the consumer's position and the wasted work on early
+// termination is bounded by the same amount.
 //
 // fill is called from exactly one goroutine (the estimation loop);
 // only claim, results and quit are shared with workers.
 type chunkScheduler struct {
 	ctx     context.Context // nil when never-canceled (trackerCtx)
+	inline  *chunkWorker    // non-nil for a one-worker run
 	quit    chan struct{}
 	results chan parChunk
 	claim   atomic.Int64
@@ -145,12 +118,18 @@ type chunkScheduler struct {
 
 func newChunkScheduler(ctx context.Context, p Parallel) *chunkScheduler {
 	cs := &chunkScheduler{
-		ctx:     trackerCtx(ctx),
-		quit:    make(chan struct{}),
-		results: make(chan parChunk, p.Workers),
-		pending: make(map[int64][]float64),
-		out:     make([]float64, batchSize),
+		ctx: trackerCtx(ctx),
+		out: make([]float64, batchSize),
 	}
+	if p.Workers == 1 {
+		cs.inline = newChunkWorker(p)
+		cs.cur = make([]float64, batchSize)
+		cs.curOff = batchSize
+		return cs
+	}
+	cs.quit = make(chan struct{})
+	cs.results = make(chan parChunk, p.Workers)
+	cs.pending = make(map[int64][]float64)
 	cs.pool.New = func() any { return make([]float64, batchSize) }
 	for w := 0; w < p.Workers; w++ {
 		cs.wg.Add(1)
@@ -159,11 +138,36 @@ func newChunkScheduler(ctx context.Context, p Parallel) *chunkScheduler {
 	return cs
 }
 
+// chunkWorker computes chunks: it owns one sampler and one source,
+// reseeded per chunk.
+type chunkWorker struct {
+	seed uint64
+	s    Sampler
+	bs   BatchSampler // nil when s is not batch-capable
+	src  mt.Source
+}
+
+func newChunkWorker(p Parallel) *chunkWorker {
+	w := &chunkWorker{seed: p.Seed, s: p.NewSampler()}
+	w.bs, _ = w.s.(BatchSampler)
+	return w
+}
+
+// compute fills vals with chunk k's draws.
+func (w *chunkWorker) compute(k int64, vals []float64) {
+	w.src.Substream(w.seed, uint64(k))
+	if w.bs != nil {
+		w.bs.SampleBatch(&w.src, vals)
+		return
+	}
+	for i := range vals {
+		vals[i] = w.s.Sample(&w.src)
+	}
+}
+
 func (cs *chunkScheduler) worker(p Parallel) {
 	defer cs.wg.Done()
-	s := p.NewSampler()
-	bs, _ := s.(BatchSampler)
-	src := new(mt.Source)
+	cw := newChunkWorker(p)
 	for {
 		select {
 		case <-cs.quit:
@@ -174,15 +178,8 @@ func (cs *chunkScheduler) worker(p Parallel) {
 			return
 		}
 		k := cs.claim.Add(1) - 1
-		src.Substream(p.Seed, uint64(k))
 		vals := cs.pool.Get().([]float64)
-		if bs != nil {
-			bs.SampleBatch(src, vals)
-		} else {
-			for i := range vals {
-				vals[i] = s.Sample(src)
-			}
-		}
+		cw.compute(k, vals)
 		select {
 		case cs.results <- parChunk{idx: k, vals: vals}:
 		case <-cs.quit:
@@ -216,6 +213,15 @@ func (cs *chunkScheduler) fill(n int) []float64 {
 // cancellation point are therefore never observable in a successful
 // Result.
 func (cs *chunkScheduler) advance() {
+	if cs.inline != nil {
+		// The loop's next reserve() polls the context, so the inline
+		// path needs no zero chunk.
+		cs.inline.compute(cs.next, cs.cur)
+		cs.next++
+		cs.curOff = 0
+		cs.chunks++
+		return
+	}
 	if cs.curReal {
 		cs.pool.Put(cs.cur[:batchSize])
 		cs.curReal = false
@@ -248,6 +254,9 @@ func (cs *chunkScheduler) advance() {
 // stop shuts the worker pool down and waits for it to exit. Safe to
 // call exactly once, after the estimation loop has returned.
 func (cs *chunkScheduler) stop() {
+	if cs.inline != nil {
+		return
+	}
 	close(cs.quit)
 	cs.wg.Wait()
 }

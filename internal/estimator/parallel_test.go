@@ -3,6 +3,7 @@ package estimator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -34,12 +35,13 @@ func identicalResult(t *testing.T, tag string, a, b Result, aErr, bErr error) {
 	}
 }
 
-// TestParallelWorkerInvariance is the parallel path's core determinism
-// property: for every kernel, shape, seed and budget (including
-// budget-exhaustion error paths), the parallel estimators return
+// TestParallelWorkerInvariance is the substream schedule's core
+// determinism property: for every kernel, shape, seed and budget
+// (including budget-exhaustion error paths), MonteCarloParallel returns
 // byte-identical Results — estimate, sample count, phase breakdown,
-// chunk count — regardless of worker count. Run under -race in CI, this
-// also exercises the scheduler's synchronization.
+// chunk count — for every worker count, the inline one-worker run
+// included. Run under -race in CI, this also exercises the scheduler's
+// synchronization.
 func TestParallelWorkerInvariance(t *testing.T) {
 	pairs := map[string]*synopsis.Admissible{
 		"small":     refPair(),
@@ -57,24 +59,18 @@ func TestParallelWorkerInvariance(t *testing.T) {
 					budget := Budget{MaxSamples: max}
 					tag := pname + "/" + sname
 
-					base := Parallel{Seed: seed, Workers: 1, NewSampler: mk}
-					sr1, sr1Err := StoppingRuleParallel(ctx, base, 0.3, 0.2, budget)
-					mc1, mc1Err := MonteCarloParallel(ctx, base, 0.25, 0.3, budget)
-					fs1, fs1Err := FixedSamplesParallel(ctx, base, 0.3, 0.3, 0.05, budget)
+					inline := Parallel{Seed: seed, Workers: 1, NewSampler: mk}
+					mc1, mc1Err := MonteCarloParallel(ctx, inline, 0.25, 0.3, budget)
 
 					// Re-running with the same configuration must be
 					// byte-identical (bit-reproducibility).
-					sr1b, sr1bErr := StoppingRuleParallel(ctx, base, 0.3, 0.2, budget)
-					identicalResult(t, tag+"/StoppingRule/rerun", sr1, sr1b, sr1Err, sr1bErr)
+					mc1b, mc1bErr := MonteCarloParallel(ctx, inline, 0.25, 0.3, budget)
+					identicalResult(t, tag+"/rerun", mc1, mc1b, mc1Err, mc1bErr)
 
 					for _, w := range workerCounts {
 						p := Parallel{Seed: seed, Workers: w, NewSampler: mk}
-						sr, srErr := StoppingRuleParallel(ctx, p, 0.3, 0.2, budget)
-						identicalResult(t, tag+"/StoppingRule", sr1, sr, sr1Err, srErr)
 						mc, mcErr := MonteCarloParallel(ctx, p, 0.25, 0.3, budget)
 						identicalResult(t, tag+"/MonteCarlo", mc1, mc, mc1Err, mcErr)
-						fs, fsErr := FixedSamplesParallel(ctx, p, 0.3, 0.3, 0.05, budget)
-						identicalResult(t, tag+"/FixedSamples", fs1, fs, fs1Err, fsErr)
 					}
 				}
 			}
@@ -82,48 +78,55 @@ func TestParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesManualSubstreamFold pins the parallel draw
-// schedule itself: a FixedSamples parallel run must see exactly the
-// values of substreams 0, 1, 2, ... folded in chunk order, as computed
-// by a single-threaded reference.
+// substreamFold is the reference draw supply: draw j is the
+// (j mod batchSize)-th value of mt.Substream(seed, j/batchSize), drawn
+// one Sample call at a time on the caller's goroutine.
+type substreamFold struct {
+	s     Sampler
+	seed  uint64
+	src   mt.Source
+	drawn int64
+	buf   []float64
+}
+
+func (f *substreamFold) fill(n int) []float64 {
+	f.buf = f.buf[:0]
+	for i := 0; i < n; i++ {
+		if f.drawn%batchSize == 0 {
+			f.src.Substream(f.seed, uint64(f.drawn/batchSize))
+		}
+		f.buf = append(f.buf, f.s.Sample(&f.src))
+		f.drawn++
+	}
+	return f.buf
+}
+
+// TestParallelMatchesManualSubstreamFold pins the substream schedule
+// itself: a MonteCarloParallel run, inline or pooled, must see exactly
+// the values of substreams 0, 1, 2, ... folded in chunk order, as
+// computed by a single-threaded reference.
 func TestParallelMatchesManualSubstreamFold(t *testing.T) {
 	pair := refPair()
 	mk := refSamplers(pair)["KLIndexed"]
 	const seed = 9001
+	ctx := context.Background()
 
-	res, err := FixedSamplesParallel(context.Background(),
-		Parallel{Seed: seed, Workers: 3, NewSampler: mk}, 0.3, 0.3, 0.05, Budget{})
+	ref := &substreamFold{s: mk(), seed: seed}
+	want, err := monteCarloLoop(ctx, ref, 0.25, 0.3, Budget{})
 	if err != nil {
-		t.Fatalf("FixedSamplesParallel: %v", err)
+		t.Fatalf("reference fold: %v", err)
 	}
-
-	// Reference: same sampler drawing n values from substream chunks
-	// sequentially.
-	n := int64(math.Ceil(upsilon(0.3, 0.3) / 0.05))
-	s := mk()
-	var sum float64
-	src := new(mt.Source)
-	for i := int64(0); i < n; i++ {
-		if i%batchSize == 0 {
-			src.Substream(seed, uint64(i/batchSize))
-		}
-		sum += s.Sample(src)
+	want.Chunks = (ref.drawn + batchSize - 1) / batchSize
+	if want.Samples != ref.drawn {
+		t.Fatalf("reference fold charged %d samples for %d draws", want.Samples, ref.drawn)
 	}
-	want := sum / float64(n)
-	if math.Float64bits(res.Estimate) != math.Float64bits(want) {
-		t.Fatalf("parallel estimate %v does not match manual substream fold %v", res.Estimate, want)
-	}
-	if res.Samples != n {
-		t.Fatalf("parallel samples %d, want %d", res.Samples, n)
-	}
-	wantChunks := (n + batchSize - 1) / batchSize
-	if res.Chunks != wantChunks {
-		t.Fatalf("parallel chunks %d, want %d", res.Chunks, wantChunks)
+	for _, w := range []int{1, 3} {
+		res, err := MonteCarloParallel(ctx, Parallel{Seed: seed, Workers: w, NewSampler: mk}, 0.25, 0.3, Budget{})
+		identicalResult(t, fmt.Sprintf("workers=%d", w), want, res, nil, err)
 	}
 }
 
-// TestParallelValidate covers the rejection paths shared by all three
-// parallel entry points.
+// TestParallelValidate covers MonteCarloParallel's rejection paths.
 func TestParallelValidate(t *testing.T) {
 	pair := refPair()
 	mk := refSamplers(pair)["KL"]
@@ -135,23 +138,15 @@ func TestParallelValidate(t *testing.T) {
 		{"zero-workers", Parallel{Seed: 1, Workers: 0, NewSampler: mk}},
 		{"negative-workers", Parallel{Seed: 1, Workers: -3, NewSampler: mk}},
 		{"nil-factory", Parallel{Seed: 1, Workers: 2}},
+		{"nil-factory-inline", Parallel{Seed: 1, Workers: 1}},
 	}
 	for _, c := range cases {
-		if _, err := StoppingRuleParallel(ctx, c.p, 0.3, 0.2, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("%s: StoppingRuleParallel error %v, want ErrInvalidOptions", c.name, err)
-		}
 		if _, err := MonteCarloParallel(ctx, c.p, 0.25, 0.3, Budget{}); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s: MonteCarloParallel error %v, want ErrInvalidOptions", c.name, err)
-		}
-		if _, err := FixedSamplesParallel(ctx, c.p, 0.3, 0.3, 0.05, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("%s: FixedSamplesParallel error %v, want ErrInvalidOptions", c.name, err)
 		}
 	}
 	if _, err := MonteCarloParallel(ctx, Parallel{Seed: 1, Workers: 2, NewSampler: mk}, 1.5, 0.3, Budget{}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("bad eps: error %v, want ErrInvalidOptions", err)
-	}
-	if _, err := FixedSamplesParallel(ctx, Parallel{Seed: 1, Workers: 2, NewSampler: mk}, 0.3, 0.3, 0, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("zero meanLB: error %v, want ErrInvalidOptions", err)
 	}
 }
 
@@ -165,12 +160,14 @@ func TestParallelCancellation(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MonteCarloParallel(canceled, Parallel{Seed: 5, Workers: 4, NewSampler: mk}, 0.25, 0.3, Budget{})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-canceled: error %v, want ErrCanceled", err)
-	}
-	if res.Samples != 0 {
-		t.Fatalf("pre-canceled: %d samples drawn, want 0", res.Samples)
+	for _, w := range []int{1, 4} {
+		res, err := MonteCarloParallel(canceled, Parallel{Seed: 5, Workers: w, NewSampler: mk}, 0.25, 0.3, Budget{})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("pre-canceled, workers=%d: error %v, want ErrCanceled", w, err)
+		}
+		if res.Samples != 0 {
+			t.Fatalf("pre-canceled, workers=%d: %d samples drawn, want 0", w, res.Samples)
+		}
 	}
 
 	ctx, cancelMid := context.WithCancel(context.Background())
@@ -181,7 +178,7 @@ func TestParallelCancellation(t *testing.T) {
 	// A very tight eps makes the run long enough that cancellation lands
 	// mid-flight on any hardware; if the run finishes first the estimate
 	// is simply valid and the test passes vacuously.
-	_, err = MonteCarloParallel(ctx, Parallel{Seed: 5, Workers: 4, NewSampler: mk}, 0.005, 0.01, Budget{})
+	_, err := MonteCarloParallel(ctx, Parallel{Seed: 5, Workers: 4, NewSampler: mk}, 0.005, 0.01, Budget{})
 	if err != nil && !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-run cancel: error %v, want ErrCanceled (or nil if finished)", err)
 	}

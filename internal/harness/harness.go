@@ -291,8 +291,8 @@ func Run(ctx context.Context, w *scenario.Workload, cfg Config, level func(scena
 
 // runOnce runs scheme s over one prepared pair under the per-run
 // timeout. A run that exhausts its budget is a timeout: it reports the
-// nominal timeout as its latency, zero samples and prep, and the
-// "timeout" reason — the only place that accounting lives.
+// nominal timeout as its latency, zero samples, tuples and prep, and
+// the "timeout" reason — the only place that accounting lives.
 func runOnce(ctx context.Context, p prepared, s cqa.Scheme, rep int, cfg Config) (Measurement, error) {
 	opts := cfg.Opts
 	if cfg.Reseed {
@@ -323,6 +323,7 @@ func runOnce(ctx context.Context, p prepared, s cqa.Scheme, rep int, cfg Config)
 		m.TimedOut = true
 		m.Elapsed = cfg.Timeout
 		m.Samples = 0
+		m.Tuples = 0
 		m.Prep = 0
 		m.Reason = "timeout"
 		obs.Default().Counter("harness_timeouts_total", obs.L("scheme", s.String())).Inc()

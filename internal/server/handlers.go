@@ -39,12 +39,13 @@ type EstimateRequest struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// MaxSamples bounds the per-tuple sample count (0 = unbounded).
 	MaxSamples int64 `json:"max_samples,omitempty"`
-	// SamplingWorkers selects the intra-query sampling mode for this
-	// request: 0 defers to the server's -sampling-workers default, 1
-	// forces the sequential single-stream mode, n ≥ 2 fans each tuple's
-	// draws over an n-worker substream pool, and -1 sizes that pool
-	// automatically. Parallel-mode results are deterministic per seed
-	// and identical for every pool size. Other negatives are a 400.
+	// SamplingWorkers selects the draw schedule for this request (the
+	// two-schedule contract, docs/ARCHITECTURE.md): 0 defers to the
+	// server's -sampling-workers default, 1 forces the sequential
+	// schedule, n ≥ 2 runs the parallel schedule on an n-worker pool,
+	// and -1 sizes that pool automatically. Parallel results are
+	// deterministic per seed and identical for every pool size. Other
+	// negatives are a 400.
 	SamplingWorkers int `json:"sampling_workers,omitempty"`
 	// TimeoutMS bounds this request's wall time; 0 selects the server's
 	// default, larger values are capped at its maximum.
@@ -78,9 +79,10 @@ type EstimateStats struct {
 	Samples   int64   `json:"samples"`
 	NumTuples int     `json:"num_tuples"`
 	GoodRatio float64 `json:"good_ratio"`
-	// SamplingWorkers is the effective intra-query pool size the run
-	// used (1 = sequential mode); Chunks counts the substream chunks the
-	// parallel path consumed (0 in sequential mode).
+	// SamplingWorkers is the size of the run's worker pool
+	// (cqa.Stats.SamplingWorkers; 1 = sequential schedule); Chunks
+	// counts the substream chunks the parallel schedule consumed (0 for
+	// the sequential one).
 	SamplingWorkers int     `json:"sampling_workers"`
 	Chunks          int64   `json:"chunks,omitempty"`
 	QueueWaitMS     float64 `json:"queue_wait_ms"`
@@ -359,8 +361,8 @@ func (req *EstimateRequest) options(defaultSamplingWorkers int) (cqa.Options, er
 // requested timeout) into the single-flight key component: two requests
 // coalesce only when every estimation-relevant knob agrees.
 func optionsFingerprint(opts cqa.Options, timeoutMS int64) string {
-	// The sampling mode changes the draw schedule (and so the results),
-	// so it is part of the key — but canonicalized through SamplingPool:
+	// The schedule changes the draws (and so the results), so it is
+	// part of the key — but canonicalized through SamplingPool:
 	// settings that resolve identically (0 and 1 are both sequential)
 	// coalesce, while sequential and parallel runs never do. The pool
 	// size is included even though parallel results are worker-invariant,

@@ -28,7 +28,7 @@ func get(t testing.TB, url string) (int, string) {
 // and keeps them retrievable from the debug ring; requests without the
 // flag carry none.
 func TestEstimateConvergenceOptIn(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	status, body, _ := post(t, ts.URL+"/v1/estimate",
 		`{"query": "Q(n) :- Employee(i, n, d)", "scheme": "KLM", "convergence": true}`)
 	if status != http.StatusOK {
@@ -101,7 +101,7 @@ func TestEstimateConvergenceOptIn(t *testing.T) {
 // convergence_points is clamped to the service cap, and negative values
 // are rejected like any other invalid option.
 func TestConvergencePointsBounds(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	status, body, _ := post(t, ts.URL+"/v1/estimate",
 		`{"query": "Q(n) :- Employee(i, n, d)", "scheme": "KLM", "convergence": true, "convergence_points": 1000000}`)
 	if status != http.StatusOK {
@@ -125,11 +125,11 @@ func TestConvergencePointsBounds(t *testing.T) {
 
 // /debug/pprof/ is absent by default and mounted with Config.EnablePprof.
 func TestPprofGatedByConfig(t *testing.T) {
-	_, off := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	_, off := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 	if status, _ := get(t, off.URL+"/debug/pprof/"); status != http.StatusNotFound {
 		t.Fatalf("pprof without opt-in = %d, want 404", status)
 	}
-	_, on := newTestServer(t, Config{DB: smallDB(t), Workers: 1, EnablePprof: true})
+	_, on := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1, EnablePprof: true})
 	status, body := get(t, on.URL+"/debug/pprof/")
 	if status != http.StatusOK || !bytes.Contains([]byte(body), []byte("goroutine")) {
 		t.Fatalf("pprof index = %d:\n%s", status, body)
@@ -142,7 +142,7 @@ func TestPprofGatedByConfig(t *testing.T) {
 // Every scrape refreshes server_uptime_seconds, and server_build_info
 // carries the manifest identity as labels with a constant value of 1.
 func TestUptimeAndBuildInfoGauges(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 	_, body := get(t, ts.URL+"/metrics")
 	for _, want := range []string{"server_uptime_seconds", "server_build_info", "go_version"} {
 		if !bytes.Contains([]byte(body), []byte(want)) {

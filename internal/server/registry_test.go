@@ -140,7 +140,8 @@ func TestInstanceResolutionRules(t *testing.T) {
 		t.Fatalf("ambiguous estimate = %d/%s, want 400/missing_instance", status, code)
 	}
 
-	_, ts2 := newTestServer(t, Config{DB: smallDB(t), Workers: 2, Instances: []InstanceConfig{
+	_, ts2 := newTestServer(t, Config{Workers: 2, Instances: []InstanceConfig{
+		{Name: "default", DB: smallDB(t)},
 		{Name: "a", DB: smallDB(t)},
 	}})
 	status, _, respBody := doJSON(t, "POST", ts2.URL+"/v1/estimate", body)

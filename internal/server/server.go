@@ -86,16 +86,6 @@ type InstanceConfig struct {
 // a sensible default; a server may start with no instances at all and
 // acquire them through POST /v1/instances.
 type Config struct {
-	// DB, when set, is registered as the instance named "default" —
-	// the single-instance convenience path. Instances and runtime
-	// registration add more.
-	DB *relation.Database
-
-	// CacheKeyPrefix fingerprints DB for syncache keys (see
-	// InstanceConfig.KeyPrefix); it applies to the "default" instance
-	// only.
-	CacheKeyPrefix string
-
 	// Instances are registered, in order, at construction.
 	Instances []InstanceConfig
 
@@ -121,11 +111,11 @@ type Config struct {
 	// InstanceConfig.Quota). Nil means no limits by default.
 	DefaultQuota *scenario.QuotaSpec
 
-	// SamplingWorkers is the default intra-query sampling mode applied
-	// to estimate requests that do not set sampling_workers themselves
-	// (cqa.Options.SamplingWorkers semantics: 0 or 1 sequential, n ≥ 2 a
-	// substream pool of n workers, -1 auto-sized). Values below -1 are
-	// rejected by New.
+	// SamplingWorkers is the default draw schedule applied to estimate
+	// requests that do not set sampling_workers themselves
+	// (cqa.Options.SamplingWorkers semantics: 0 or 1 sequential, n ≥ 2
+	// the parallel schedule on n workers, -1 auto-sized). Values below
+	// -1 are rejected by New.
 	SamplingWorkers int
 
 	// DefaultTimeout is the per-request deadline applied when the client
@@ -281,17 +271,6 @@ func New(cfg Config) (*Server, error) {
 		manifest:  m,
 		started:   time.Now(),
 	}
-	if cfg.DB != nil {
-		if err := s.registerInstance(&Instance{
-			Name:        "default",
-			Source:      "config",
-			Created:     time.Now(),
-			Fingerprint: cfg.CacheKeyPrefix,
-			db:          cfg.DB,
-		}, 0, nil); err != nil {
-			return nil, err
-		}
-	}
 	for _, ic := range cfg.Instances {
 		if ic.DB == nil {
 			return nil, fmt.Errorf("server: instance %q has no database", ic.Name)
@@ -335,9 +314,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.reg.Gauge("server_build_info",
 		obs.L("git_sha", sha), obs.L("go_version", m.GoVersion)).Set(1)
-	// estimator_sampling_workers reports the server's default intra-query
-	// pool size (1 = sequential mode); per-request overrides don't move
-	// it, they show up in estimator_chunks_total instead.
+	// estimator_sampling_workers reports the server's default pool size
+	// (1 = sequential schedule); per-request overrides don't move it,
+	// they show up in estimator_chunks_total instead.
 	defaultPool, _ := cqa.SamplingPool(cfg.SamplingWorkers)
 	s.reg.Gauge("estimator_sampling_workers").Set(float64(defaultPool))
 	s.refreshUptime()

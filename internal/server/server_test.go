@@ -48,6 +48,12 @@ func heavyDB(t testing.TB, blocks int) *relation.Database {
 	return db
 }
 
+// defaultInstance registers db as the one instance named "default",
+// the instance requests without an "instance" field address.
+func defaultInstance(db *relation.Database) []InstanceConfig {
+	return []InstanceConfig{{Name: "default", DB: db}}
+}
+
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
@@ -74,7 +80,7 @@ func post(t testing.TB, url, body string) (int, string, http.Header) {
 }
 
 func TestEstimateHandlerTable(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	url := ts.URL + "/v1/estimate"
 	cases := []struct {
 		name   string
@@ -121,7 +127,7 @@ func TestEstimateHandlerTable(t *testing.T) {
 }
 
 func TestEstimateResponseShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	status, body, _ := post(t, ts.URL+"/v1/estimate",
 		`{"query": "Q() :- Employee(1, n1, d), Employee(2, n2, d)", "scheme": "Natural"}`)
 	if status != http.StatusOK {
@@ -159,7 +165,7 @@ func TestEstimateResponseShape(t *testing.T) {
 }
 
 func TestEstimateDeterministicPerSeed(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	body := `{"query": "Q(n) :- Employee(i, n, d)", "scheme": "KLM", "seed": 7}`
 	_, first, _ := post(t, ts.URL+"/v1/estimate", body)
 	_, second, _ := post(t, ts.URL+"/v1/estimate", body)
@@ -181,7 +187,7 @@ func TestEstimateDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSynopsisEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	status, body, _ := post(t, ts.URL+"/v1/synopsis", `{"query": "Q(n) :- Employee(i, n, d)"}`)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, body)
@@ -209,7 +215,7 @@ func TestSynopsisEndpoint(t *testing.T) {
 }
 
 func TestBodySizeLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1, MaxBodyBytes: 64})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1, MaxBodyBytes: 64})
 	big := fmt.Sprintf(`{"query": %q}`, "Q() :- Employee(1, n, d)"+strings.Repeat(" ", 200))
 	status, body, _ := post(t, ts.URL+"/v1/estimate", big)
 	if status != http.StatusRequestEntityTooLarge {
@@ -218,7 +224,7 @@ func TestBodySizeLimit(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 	resp, err := http.Get(ts.URL + "/v1/estimate")
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +236,7 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +303,7 @@ func waitInflight(t testing.TB, s *Server, want int64) {
 // the slot frees within one chunk — milliseconds — not after the many
 // seconds the eps=0.003 run would otherwise take.
 func TestCancelMidEstimationFreesWorker(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: heavyDB(t, 1000), Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(heavyDB(t, 1000)), Workers: 1, QueueDepth: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := heavyPost(ts, ts.Client(), ctx, 600_000)
 	waitInflight(t, s, 1)
@@ -314,7 +320,7 @@ func TestCancelMidEstimationFreesWorker(t *testing.T) {
 // A request whose own deadline expires mid-estimation gets a 504 with
 // the canceled error chain, again within about one chunk of the expiry.
 func TestRequestDeadlineReturns504(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: heavyDB(t, 1000), Workers: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(heavyDB(t, 1000)), Workers: 1})
 	done := heavyPost(ts, ts.Client(), context.Background(), 300)
 	select {
 	case status := <-done:
@@ -330,7 +336,7 @@ func TestRequestDeadlineReturns504(t *testing.T) {
 // With one worker and a queue depth of one, a third concurrent request
 // must be turned away immediately with 429 and a Retry-After hint.
 func TestQueueFullRejectsWith429(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: heavyDB(t, 1000), Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(heavyDB(t, 1000)), Workers: 1, QueueDepth: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	first := heavyPost(ts, ts.Client(), ctx, 600_000)
@@ -371,7 +377,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 // A queued request whose deadline expires before a worker frees up gets
 // a 504 without ever running.
 func TestQueuedRequestDeadline(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: heavyDB(t, 1000), Workers: 1, QueueDepth: 2})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(heavyDB(t, 1000)), Workers: 1, QueueDepth: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	first := heavyPost(ts, ts.Client(), ctx, 600_000)
@@ -394,7 +400,7 @@ func TestQueuedRequestDeadline(t *testing.T) {
 // drain are refused.
 func TestGracefulShutdownDrains(t *testing.T) {
 	db := heavyDB(t, 1000)
-	s, err := New(Config{DB: db, Workers: 2, QueueDepth: 2})
+	s, err := New(Config{Instances: defaultInstance(db), Workers: 2, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,15 +485,14 @@ func TestNewValidatesConfig(t *testing.T) {
 	if got := len(s.Instances()); got != 0 {
 		t.Fatalf("instances = %d, want 0", got)
 	}
-	if _, err := New(Config{DB: smallDB(t), DefaultTimeout: time.Hour, MaxTimeout: time.Second}); err == nil {
+	if _, err := New(Config{Instances: defaultInstance(smallDB(t)), DefaultTimeout: time.Hour, MaxTimeout: time.Second}); err == nil {
 		t.Fatal("default timeout above max accepted")
 	}
 	if _, err := New(Config{Instances: []InstanceConfig{{Name: "a"}}}); err == nil {
 		t.Fatal("instance without database accepted")
 	}
 	if _, err := New(Config{
-		DB:        smallDB(t),
-		Instances: []InstanceConfig{{Name: "default", DB: smallDB(t)}},
+		Instances: append(defaultInstance(smallDB(t)), InstanceConfig{Name: "default", DB: smallDB(t)}),
 	}); err == nil {
 		t.Fatal("duplicate instance name accepted")
 	}

@@ -19,7 +19,7 @@ import (
 func TestEstimateSingleFlightCoalesces(t *testing.T) {
 	const followers = 3
 	db := smallDB(t)
-	s, ts := newTestServer(t, Config{DB: db, Workers: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(db), Workers: 1})
 
 	// Reconstruct the flight key of the request body below so the test
 	// hook can hold the leader until every follower is provably waiting
@@ -100,7 +100,7 @@ func TestEstimateSingleFlightCoalesces(t *testing.T) {
 // Requests that differ in any key component — seed here — must NOT
 // coalesce: each runs its own estimator.
 func TestEstimateDifferentOptionsDoNotCoalesce(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	var wg sync.WaitGroup
 	for _, body := range []string{
 		`{"query": "Q(n) :- Employee(i, n, d)", "scheme": "KLM", "seed": 7}`,

@@ -35,7 +35,7 @@ func getJSON(t testing.TB, url string, v any) (int, []byte) {
 }
 
 func TestTraceIDEchoAndRequestLog(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 
 	const reqID = "tracing-test.42"
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate",
@@ -99,7 +99,7 @@ func TestTraceIDEchoAndRequestLog(t *testing.T) {
 }
 
 func TestMalformedRequestIDReplaced(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate",
 		strings.NewReader(`{"query": "Q() :- Employee(1, 'Bob', d)", "scheme": "Natural"}`))
 	req.Header.Set("X-Request-ID", "bad id with spaces")
@@ -116,7 +116,7 @@ func TestMalformedRequestIDReplaced(t *testing.T) {
 }
 
 func TestDebugRequestTraceSpanTree(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 
 	const reqID = "span-tree-test"
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate",
@@ -172,7 +172,7 @@ func TestDebugRequestTraceSpanTree(t *testing.T) {
 }
 
 func TestDebugRequestsFilters(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	post(t, ts.URL+"/v1/estimate", `{"query": "Q() :- Employee(1, 'Bob', d)", "scheme": "Natural"}`)
 	post(t, ts.URL+"/v1/estimate", `{"query": "not a query"}`)
 
@@ -203,7 +203,7 @@ func TestDebugRequestsFilters(t *testing.T) {
 }
 
 func TestVersionAndMetricsJSONEnvelope(t *testing.T) {
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 
 	var m struct {
 		Tool      string `json:"tool"`
@@ -256,7 +256,7 @@ func promValue(t testing.TB, exposition, prefix string) float64 {
 }
 
 func TestWindowedLatencyExportsAndDrains(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 
 	// Pin the window ring to a controllable clock. The ring is the one
 	// New() registered; re-registering returns it, not a fresh one.
@@ -307,7 +307,7 @@ func TestWindowedLatencyExportsAndDrains(t *testing.T) {
 }
 
 func TestQueueWaitMetricAndRejectReasons(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 1})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 	post(t, ts.URL+"/v1/estimate", `{"query": "Q() :- Employee(1, 'Bob', d)", "scheme": "Natural"}`)
 	snap := s.reg.Histogram("server_queue_wait_seconds",
 		obs.L("endpoint", "/v1/estimate"), obs.L("instance", "default")).Snapshot()
