@@ -44,8 +44,10 @@ type goldenCase struct {
 // goldenPairs builds the fixed synopsis shapes of the golden grid. The
 // construction is fully deterministic (its own MT stream) and spans the
 // regimes the kernel selector distinguishes: tiny overlapping pairs
-// (plain kernels), degenerate 1-block / 1-image pairs, and a large-|H|
-// low-coverage pair (indexed kernels).
+// (plain kernels), degenerate 1-block / 1-image pairs, and large-|H|
+// low-coverage pairs (indexed kernels). Between them they hold every
+// block kind a draw treats differently: size 1, powers of two and other
+// sizes, and an image lying wholly in size-1 blocks.
 func goldenPairs() []struct {
 	name string
 	pair *synopsis.Admissible
@@ -95,6 +97,73 @@ func goldenPairs() []struct {
 		large.Images = append(large.Images, synopsis.Image{{Block: int32(b), Fact: 0}})
 	}
 
+	// singletons: size-1, power-of-two and odd blocks side by side, with
+	// one image lying wholly in size-1 blocks (so R(H,B) = 1) that sorts
+	// after others, so KL's earlier-image checks reach it.
+	singletons := &synopsis.Admissible{
+		BlockSizes: []int32{1, 3, 1, 2, 5, 1, 1, 7, 4, 1},
+		Images: []synopsis.Image{
+			{{Block: 1, Fact: 0}, {Block: 3, Fact: 1}},
+			{{Block: 0, Fact: 0}, {Block: 4, Fact: 2}},
+			{{Block: 2, Fact: 0}, {Block: 4, Fact: 0}, {Block: 7, Fact: 3}},
+			{{Block: 5, Fact: 0}, {Block: 6, Fact: 0}, {Block: 9, Fact: 0}},
+			{{Block: 3, Fact: 0}, {Block: 7, Fact: 6}, {Block: 8, Fact: 3}},
+			{{Block: 1, Fact: 2}, {Block: 8, Fact: 0}},
+		},
+	}
+
+	// large-singletons: an indexed-kernel pair whose wide blocks mix odd
+	// and power-of-two sizes, with size-1 blocks both before them (some
+	// images start in one) and after them (many images end in one).
+	// Every image holds two wide members, so coverage stays low.
+	largeSingle := &synopsis.Admissible{}
+	const nLow, nWide, nHigh = 3, 24, 13
+	wideSizes := []int32{17, 32, 23, 16, 31, 20}
+	for b := 0; b < nLow; b++ {
+		largeSingle.BlockSizes = append(largeSingle.BlockSizes, 1)
+	}
+	for b := 0; b < nWide; b++ {
+		largeSingle.BlockSizes = append(largeSingle.BlockSizes, wideSizes[b%len(wideSizes)])
+	}
+	for b := 0; b < nHigh; b++ {
+		largeSingle.BlockSizes = append(largeSingle.BlockSizes, 1)
+	}
+	member := func(b int32) synopsis.Member {
+		return synopsis.Member{Block: b, Fact: int32(src.Intn(int(largeSingle.BlockSizes[b])))}
+	}
+	// twoWide returns two members of distinct wide blocks, the first in
+	// block first when first ≥ 0.
+	twoWide := func(first int32) synopsis.Image {
+		b1 := first
+		if b1 < 0 {
+			b1 = int32(nLow + src.Intn(nWide))
+		}
+		b2 := b1
+		for b2 == b1 {
+			b2 = int32(nLow + src.Intn(nWide))
+		}
+		return synopsis.Image{member(b1), member(b2)}
+	}
+	for i := 0; i < 800; i++ {
+		img := twoWide(-1)
+		if src.Intn(2) == 0 {
+			img = append(img, synopsis.Member{Block: int32(nLow + nWide + src.Intn(nHigh))})
+		}
+		largeSingle.Images = append(largeSingle.Images, img)
+	}
+	// Touch every block: each size-1 block with two wide members, each
+	// wide block as some image's first wide member.
+	for b := 0; b < nLow+nHigh; b++ {
+		single := int32(b)
+		if b >= nLow {
+			single += nWide
+		}
+		largeSingle.Images = append(largeSingle.Images, append(twoWide(-1), synopsis.Member{Block: single}))
+	}
+	for b := 0; b < nWide; b++ {
+		largeSingle.Images = append(largeSingle.Images, twoWide(int32(nLow+b)))
+	}
+
 	out := []struct {
 		name string
 		pair *synopsis.Admissible
@@ -103,6 +172,8 @@ func goldenPairs() []struct {
 		{"one-block", oneBlock},
 		{"one-image", oneImage},
 		{"large", large},
+		{"singletons", singletons},
+		{"large-singletons", largeSingle},
 	}
 	for _, p := range out {
 		p.pair.Canonicalize()

@@ -82,20 +82,51 @@ func TestKernelSelectionPreservesResults(t *testing.T) {
 	}
 }
 
-// The large golden pair must actually exercise the indexed kernels, and
+// The large golden pairs must actually exercise the indexed kernels, and
 // the small ones the plain kernel — otherwise the test above proves
-// nothing about the indexed path.
+// nothing about the indexed path. Likewise every block kind a draw
+// treats differently (size 1, power of two, any other size) and an
+// image lying wholly in size-1 blocks must occur, under both kernels
+// for the block kinds, or the golden files pin no path through them.
 func TestGoldenPairsCoverBothKernels(t *testing.T) {
-	var sawPlain, sawIndexed bool
+	var sawPlain, sawIndexed, sawSingletonImage bool
+	var sawSize [2][3]bool // [kernel][size 1, power of two, other]
 	for _, p := range goldenPairs() {
-		switch sampler.SelectKernel(p.pair) {
+		k := sampler.SelectKernel(p.pair)
+		switch k {
 		case sampler.Plain:
 			sawPlain = true
 		case sampler.Indexed:
 			sawIndexed = true
 		}
+		for _, sz := range p.pair.BlockSizes {
+			switch {
+			case sz == 1:
+				sawSize[k][0] = true
+			case sz&(sz-1) == 0:
+				sawSize[k][1] = true
+			default:
+				sawSize[k][2] = true
+			}
+		}
+		for _, img := range p.pair.Images {
+			wholly := true
+			for _, m := range img {
+				wholly = wholly && p.pair.BlockSizes[m.Block] == 1
+			}
+			sawSingletonImage = sawSingletonImage || wholly
+		}
 	}
 	if !sawPlain || !sawIndexed {
 		t.Fatalf("golden pairs must cover both kernels: plain=%v indexed=%v", sawPlain, sawIndexed)
+	}
+	for k, kinds := range sawSize {
+		if kinds != [3]bool{true, true, true} {
+			t.Fatalf("golden pairs under the %v kernel must hold size-1, power-of-two and other blocks: have %v",
+				sampler.Kernel(k), kinds)
+		}
+	}
+	if !sawSingletonImage {
+		t.Fatal("golden pairs must hold an image lying wholly in size-1 blocks")
 	}
 }
