@@ -48,6 +48,7 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
 	rec := RecorderFrom(ctx)
 	m := space.NumImages()
+	pick := mt.NewBounded(m) // src.Intn(m), precomputed
 	n := int64(math.Ceil(8 * (1 + eps) * float64(m) * math.Log(3/delta) /
 		((1 - eps*eps/8) * eps * eps)))
 
@@ -78,7 +79,7 @@ outer:
 					Phase:    "coverage",
 				})
 			}
-			j := src.Intn(m)
+			j := pick.Draw(src)
 			if space.InSet(j) {
 				break
 			}

@@ -8,6 +8,7 @@ package mt
 type Alias struct {
 	prob  []float64
 	alias []int32
+	pick  Bounded // uniform column choice, Intn(len(prob)) precomputed
 }
 
 // NewAlias builds an alias table from non-negative weights. Weights need
@@ -32,41 +33,46 @@ func NewAlias(weights []float64) *Alias {
 	a := &Alias{
 		prob:  make([]float64, n),
 		alias: make([]int32, n),
+		pick:  NewBounded(n),
 	}
-	// Scaled probabilities; mean 1.
-	scaled := make([]float64, n)
+	// Scaled probabilities, mean 1, computed in place: an entry's scaled
+	// value is final once it leaves the small stack.
+	p := a.prob
 	for i, w := range weights {
-		scaled[i] = w * float64(n) / sum
+		p[i] = w * float64(n) / sum
 	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	// The small and large stacks share one buffer, small growing up from
+	// the front and large down from the back: together they never hold
+	// more than n entries.
+	stack := make([]int32, n)
+	ns, nl := 0, 0
+	push := func(i int32) {
+		if p[i] < 1 {
+			stack[ns] = i
+			ns++
+		} else {
+			nl++
+			stack[n-nl] = i
+		}
+	}
 	for i := n - 1; i >= 0; i-- {
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
+		push(int32(i))
 	}
-	for len(small) > 0 && len(large) > 0 {
-		l := small[len(small)-1]
-		small = small[:len(small)-1]
-		g := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[l] = scaled[l]
+	for ns > 0 && nl > 0 {
+		ns--
+		l := stack[ns]
+		g := stack[n-nl]
+		nl--
 		a.alias[l] = g
-		scaled[g] = (scaled[g] + scaled[l]) - 1
-		if scaled[g] < 1 {
-			small = append(small, g)
-		} else {
-			large = append(large, g)
-		}
+		p[g] = (p[g] + p[l]) - 1
+		push(g)
 	}
 	// Remaining entries have probability 1 up to floating-point error.
-	for _, g := range large {
-		a.prob[g] = 1
+	for _, i := range stack[n-nl:] {
+		p[i] = 1
 	}
-	for _, l := range small {
-		a.prob[l] = 1
+	for _, i := range stack[:ns] {
+		p[i] = 1
 	}
 	return a
 }
@@ -76,7 +82,7 @@ func (a *Alias) Len() int { return len(a.prob) }
 
 // Draw returns an index distributed according to the table's weights.
 func (a *Alias) Draw(src *Source) int {
-	i := src.Intn(len(a.prob))
+	i := a.pick.Draw(src)
 	if src.Float64() < a.prob[i] {
 		return i
 	}

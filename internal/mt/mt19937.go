@@ -5,7 +5,9 @@
 // The type satisfies math/rand.Source and math/rand.Source64, so it can be
 // wrapped in a *rand.Rand, but the package also provides the small set of
 // uniform helpers the samplers need directly (bounded integers and floats)
-// so hot sampling loops avoid interface dispatch.
+// so hot sampling loops avoid interface dispatch. Bounded and BlockPlan
+// precompute those helpers' per-call work for the samplers' draw plans
+// while consuming the stream exactly as Intn does.
 package mt
 
 const (
@@ -100,6 +102,11 @@ func (s *Source) Uint64() uint64 {
 	}
 	x := s.state[s.index]
 	s.index++
+	return temper(x)
+}
+
+// temper is MT19937-64's output transform of one state word.
+func temper(x uint64) uint64 {
 	x ^= (x >> 29) & 0x5555555555555555
 	x ^= (x << 17) & 0x71D67FFFEDA60000
 	x ^= (x << 37) & 0xFFF7EEE000000000

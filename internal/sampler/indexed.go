@@ -8,6 +8,9 @@ import (
 // firstIndex is an inverted index on each image's first member: an image
 // H can cover a database I only if I keeps H's first (block, member)
 // choice (images are canonically sorted, so "first" is well defined).
+// It is keyed on the full images, size-1 blocks included, so its
+// candidate sets do not depend on the coverage layout; a first member
+// in a size-1 block is always kept, and its candidates always visited.
 // Instead of scanning every image per draw, an indexed kernel looks up
 // the candidate images of each chosen member and verifies only those.
 //
@@ -22,12 +25,11 @@ type firstIndex struct {
 	lists  [][][]int32
 }
 
-func newFirstIndex(flat *synopsis.FlatImages) *firstIndex {
+func newFirstIndex(images []synopsis.Image) *firstIndex {
 	ix := &firstIndex{}
 	pos := make(map[int32]int)
-	n := flat.NumImages()
-	for i := 0; i < n; i++ {
-		first := flat.Image(i)[0]
+	for i, img := range images {
+		first := img[0]
 		k, ok := pos[first.Block]
 		if !ok {
 			k = len(ix.blocks)
@@ -51,8 +53,8 @@ func newFirstIndex(flat *synopsis.FlatImages) *firstIndex {
 // expectation; the plain scan stays faster on small synopses where its
 // early exit dominates (SelectKernel encodes the crossover).
 type NaturalIndexed struct {
-	sizes  []int32
-	flat   *synopsis.FlatImages
+	plan   mt.BlockPlan
+	flat   synopsis.FlatImages
 	chosen []int32
 	ix     *firstIndex
 }
@@ -60,12 +62,11 @@ type NaturalIndexed struct {
 // NewNaturalIndexed builds the indexed sampler. It is a drop-in
 // replacement for NewNatural.
 func NewNaturalIndexed(pair *synopsis.Admissible) *NaturalIndexed {
-	flat := pair.Flatten()
 	return &NaturalIndexed{
-		sizes:  pair.BlockSizes,
-		flat:   flat,
+		plan:   mt.NewBlockPlan(pair.BlockSizes),
+		flat:   pair.Flatten(),
 		chosen: make([]int32, pair.NumBlocks()),
-		ix:     newFirstIndex(flat),
+		ix:     newFirstIndex(pair.Images),
 	}
 }
 
@@ -73,9 +74,7 @@ func NewNaturalIndexed(pair *synopsis.Admissible) *NaturalIndexed {
 func (n *NaturalIndexed) Sample(src *mt.Source) float64 { return n.sample(src) }
 
 func (n *NaturalIndexed) sample(src *mt.Source) float64 {
-	for b, sz := range n.sizes {
-		n.chosen[b] = int32(src.Intn(int(sz)))
-	}
+	src.FillBlocks(&n.plan, n.chosen)
 	for k, b := range n.ix.blocks {
 		lists := n.ix.lists[k]
 		f := n.chosen[b]
@@ -114,8 +113,7 @@ type KLIndexed struct {
 // NewKLIndexed builds the indexed Karp–Luby sampler. It is a drop-in
 // replacement for NewKL.
 func NewKLIndexed(pair *synopsis.Admissible) *KLIndexed {
-	s := NewSymbolic(pair)
-	return &KLIndexed{Symbolic: s, ix: newFirstIndex(s.flat)}
+	return &KLIndexed{Symbolic: NewSymbolic(pair), ix: newFirstIndex(pair.Images)}
 }
 
 // Sample draws (i, I) from S• and returns 1 iff no j < i has H_j ⊆ I.
@@ -167,8 +165,7 @@ type KLMIndexed struct {
 // NewKLMIndexed builds the indexed Karp–Luby–Madras sampler. It is a
 // drop-in replacement for NewKLM.
 func NewKLMIndexed(pair *synopsis.Admissible) *KLMIndexed {
-	s := NewSymbolic(pair)
-	return &KLMIndexed{Symbolic: s, ix: newFirstIndex(s.flat)}
+	return &KLMIndexed{Symbolic: NewSymbolic(pair), ix: newFirstIndex(pair.Images)}
 }
 
 // Sample draws (i, I) from S• and returns 1/k with k = |{j : H_j ⊆ I}|

@@ -19,6 +19,15 @@
 // allocation-free inner loops; a batch of n draws is byte-identical to n
 // one-at-a-time Sample calls on the same stream.
 //
+// Each sampler builds its pair's draw plan once, at construction: an
+// mt.BlockPlan that fills a database with one uniform member per block,
+// and a coverage layout (synopsis.FlatImages) without members in size-1
+// blocks. The plan consumes exactly the words per-block Intn would, in
+// the same order: a size-1 block still consumes its word, untempered,
+// and its entry stays 0; every other block's rejection bound and
+// remainder are precomputed. Stream consumption, and hence every
+// estimate, is unchanged by the plan.
+//
 // All samplers reuse internal scratch buffers: one instance serves one
 // estimation loop at a time.
 package sampler
@@ -30,8 +39,8 @@ import (
 
 // Natural is Sampler 1: SampleNatural.
 type Natural struct {
-	sizes  []int32
-	flat   *synopsis.FlatImages
+	plan   mt.BlockPlan
+	flat   synopsis.FlatImages
 	chosen []int32
 }
 
@@ -39,7 +48,7 @@ type Natural struct {
 // admissible (Validate'd by the caller; the synopsis builder guarantees it).
 func NewNatural(pair *synopsis.Admissible) *Natural {
 	return &Natural{
-		sizes:  pair.BlockSizes,
+		plan:   mt.NewBlockPlan(pair.BlockSizes),
 		flat:   pair.Flatten(),
 		chosen: make([]int32, pair.NumBlocks()),
 	}
@@ -52,9 +61,7 @@ func (n *Natural) Sample(src *mt.Source) float64 { return n.sample(src) }
 // sample is the concrete (devirtualized) draw shared by Sample and
 // SampleBatch.
 func (n *Natural) sample(src *mt.Source) float64 {
-	for b, sz := range n.sizes {
-		n.chosen[b] = int32(src.Intn(int(sz)))
-	}
+	src.FillBlocks(&n.plan, n.chosen)
 	if n.flat.FirstCover(n.chosen) >= 0 {
 		return 1
 	}
@@ -76,8 +83,8 @@ func (n *Natural) GoodFactor() float64 { return 1 }
 // probability |I^i|/|S•| via a Walker alias table, then I uniformly from
 // I^i by fixing H_i's members and choosing the remaining blocks uniformly.
 type Symbolic struct {
-	sizes  []int32
-	flat   *synopsis.FlatImages
+	plan   mt.BlockPlan
+	flat   synopsis.FlatImages
 	alias  *mt.Alias
 	weight float64 // |S•| / |db(B)|
 	chosen []int32
@@ -90,7 +97,7 @@ func NewSymbolic(pair *synopsis.Admissible) *Symbolic {
 		weights[i] = pair.ImageWeight(i)
 	}
 	return &Symbolic{
-		sizes:  pair.BlockSizes,
+		plan:   mt.NewBlockPlan(pair.BlockSizes),
 		flat:   pair.Flatten(),
 		alias:  mt.NewAlias(weights),
 		weight: pair.SymbolicWeight(),
@@ -102,9 +109,7 @@ func NewSymbolic(pair *synopsis.Admissible) *Symbolic {
 // sampler's current state, and returns i.
 func (s *Symbolic) Draw(src *mt.Source) int {
 	i := s.alias.Draw(src)
-	for b, sz := range s.sizes {
-		s.chosen[b] = int32(src.Intn(int(sz)))
-	}
+	src.FillBlocks(&s.plan, s.chosen)
 	for _, m := range s.flat.Image(i) {
 		s.chosen[m.Block] = m.Fact
 	}

@@ -226,17 +226,19 @@ func TestSamplerExpectedValuesProperty(t *testing.T) {
 	}
 }
 
-// pairFromSeed builds a small random admissible pair (mirrors the synopsis
-// package's test generator).
+// pairFromSeed builds a small random admissible pair. Its blocks mix
+// every kind a draw treats differently: size 1, powers of two and other
+// sizes; and some pairs hold an image lying wholly in size-1 blocks.
 func pairFromSeed(seed []byte) *synopsis.Admissible {
 	if len(seed) < 4 {
 		return nil
 	}
-	nBlocks := int(seed[0]%3) + 1
+	nBlocks := int(seed[0]%6) + 1
 	nImages := int(seed[1]%4) + 1
+	kinds := []int32{1, 1, 2, 3, 4, 5, 7, 8}
 	pair := &synopsis.Admissible{}
 	for b := 0; b < nBlocks; b++ {
-		pair.BlockSizes = append(pair.BlockSizes, int32(seed[(2+b)%len(seed)]%3)+1)
+		pair.BlockSizes = append(pair.BlockSizes, kinds[seed[(2+b)%len(seed)]%8])
 	}
 	pos := 2 + nBlocks
 	next := func() byte {
@@ -255,6 +257,17 @@ func pairFromSeed(seed []byte) *synopsis.Admissible {
 			img = synopsis.Image{{Block: 0, Fact: int32(next()) % pair.BlockSizes[0]}}
 		}
 		pair.Images = append(pair.Images, img)
+	}
+	if seed[1]&0x10 != 0 {
+		var wholly synopsis.Image
+		for b, sz := range pair.BlockSizes {
+			if sz == 1 && next()%2 == 0 {
+				wholly = append(wholly, synopsis.Member{Block: int32(b)})
+			}
+		}
+		if len(wholly) > 0 {
+			pair.Images = append(pair.Images, wholly)
+		}
 	}
 	pair.Canonicalize()
 	touched := make([]bool, nBlocks)
