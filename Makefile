@@ -7,7 +7,7 @@ GO ?= go
 all: build vet test
 
 # The CI gate: vet, formatting, the race-sensitive subset, a 30 s fuzz
-# session over the draw plan's exact remainder, the
+# session over KLM's kill-index cover count, the
 # benchmark module's own tests (cqaperf is a nested module, so ./...
 # skips it), and docs consistency (every flag the docs mention must exist in cqabench -h,
 # every documented /v1/ and /debug/ endpoint must be registered).
@@ -20,8 +20,9 @@ check:
 	$(GO) test -race -run 'TestInstance|TestEstimateSingleFlight|TestFlightGroup|TestSynopsisLRU' ./internal/scenario ./internal/server
 	$(GO) test -race -run 'TestScheduler|TestQuota|TestFairness|TestSingleFlightFollower' ./internal/server
 	$(GO) test -race ./internal/sampler/...
-	$(GO) test -race -run 'TestFillBlocks|FuzzExactRemainder' ./internal/mt
-	$(GO) test -fuzz FuzzExactRemainder -fuzztime 30s ./internal/mt
+	$(GO) test -race -run 'TestFillBlocks' ./internal/mt
+	$(GO) test -race -run 'TestKillIndex|FuzzCoverCount' ./internal/synopsis
+	$(GO) test -fuzz FuzzCoverCount -fuzztime 30s ./internal/synopsis
 	$(GO) test -race -run 'TestBatched|TestReserve' ./internal/estimator/...
 	$(GO) test -race -run 'TestKernel|TestGolden' ./internal/cqa/...
 	$(GO) test -race -run 'TestSubstream|TestParallel' ./internal/mt ./internal/estimator ./internal/cqa ./internal/server
@@ -52,15 +53,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing sessions over all parsers and the draw plan's exact
-# remainder.
+# Short fuzzing sessions over all parsers and KLM's kill-index cover
+# count.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/cq/
 	$(GO) test -fuzz FuzzParseSchema -fuzztime 30s ./internal/relation/
 	$(GO) test -fuzz FuzzReadDB -fuzztime 30s ./internal/relation/
 	$(GO) test -fuzz FuzzParseDIMACS -fuzztime 30s ./internal/dnf/
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/syncache/
-	$(GO) test -fuzz FuzzExactRemainder -fuzztime 30s ./internal/mt/
+	$(GO) test -fuzz FuzzCoverCount -fuzztime 30s ./internal/synopsis/
 
 # The paper's figures as text tables under results/.
 figures:

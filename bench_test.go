@@ -503,44 +503,93 @@ func kernelPair() *synopsis.Admissible {
 	return pair
 }
 
+// smokePair builds a pair shaped like the smoke tier's Boolean pair
+// (noise-j1-p04): 757 images of two members each over 246 blocks of
+// sizes {1: 147, 2: 24, 3: 21, 4: 26, 5: 28}. SelectKernel picks the
+// plain kernels for it, and KLM's cover count is most of a draw there.
+func smokePair() *synopsis.Admissible {
+	src := mt.New(5)
+	var sizes []int32
+	for _, h := range []struct{ size, count int32 }{{1, 147}, {2, 24}, {3, 21}, {4, 26}, {5, 28}} {
+		for i := int32(0); i < h.count; i++ {
+			sizes = append(sizes, h.size)
+		}
+	}
+	src.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+	pair := &synopsis.Admissible{BlockSizes: sizes}
+	seen := make(map[[2]synopsis.Member]bool)
+	add := func(b1, b2 int) {
+		if b1 == b2 {
+			return
+		}
+		b1, b2 = min(b1, b2), max(b1, b2)
+		img := [2]synopsis.Member{
+			{Block: int32(b1), Fact: int32(src.Intn(int(sizes[b1])))},
+			{Block: int32(b2), Fact: int32(src.Intn(int(sizes[b2])))},
+		}
+		if !seen[img] {
+			seen[img] = true
+			pair.Images = append(pair.Images, img[:])
+		}
+	}
+	// Touch every block, then draw images at random.
+	for bk := 0; bk+1 < len(sizes); bk += 2 {
+		add(bk, bk+1)
+	}
+	for len(pair.Images) < 757 {
+		add(src.Intn(len(sizes)), src.Intn(len(sizes)))
+	}
+	pair.Canonicalize()
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}
+
 // BenchmarkKernels compares, per scheme, the plain scan kernel against the
 // first-member-indexed one, one draw at a time and in estimator-sized
-// batches, on the large-|H| pair where the kernel selector picks the
-// index. samples/sec is the headline throughput number EXPERIMENTS.md
-// quotes; all variants draw from identical PRNG streams.
+// batches: on the large-|H| pair where the kernel selector picks the
+// index, and (prefix smoke/) on the smoke-shaped pair where it picks the
+// plain kernels. samples/sec is the headline throughput number
+// EXPERIMENTS.md quotes; all variants draw from identical PRNG streams.
 func BenchmarkKernels(b *testing.B) {
-	pair := kernelPair()
-	kernels := []struct {
-		name string
-		s    estimator.BatchSampler
-	}{
-		{"Natural/plain", sampler.NewNatural(pair)},
-		{"Natural/indexed", sampler.NewNaturalIndexed(pair)},
-		{"KL/plain", sampler.NewKL(pair)},
-		{"KL/indexed", sampler.NewKLIndexed(pair)},
-		{"KLM/plain", sampler.NewKLM(pair)},
-		{"KLM/indexed", sampler.NewKLMIndexed(pair)},
-	}
-	for _, k := range kernels {
-		b.Run(k.name+"/single", func(b *testing.B) {
-			src := mt.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = k.s.Sample(src)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
-		})
-		b.Run(k.name+"/batch", func(b *testing.B) {
-			src := mt.New(1)
-			buf := make([]float64, 256)
-			b.ReportAllocs()
-			drawn := 0
-			for i := 0; i < b.N; i += len(buf) {
-				k.s.SampleBatch(src, buf)
-				drawn += len(buf)
-			}
-			b.ReportMetric(float64(drawn)/b.Elapsed().Seconds(), "samples/sec")
-		})
+	for _, p := range []struct {
+		prefix string
+		pair   *synopsis.Admissible
+	}{{"", kernelPair()}, {"smoke/", smokePair()}} {
+		pair := p.pair
+		kernels := []struct {
+			name string
+			s    estimator.BatchSampler
+		}{
+			{"Natural/plain", sampler.NewNatural(pair)},
+			{"Natural/indexed", sampler.NewNaturalIndexed(pair)},
+			{"KL/plain", sampler.NewKL(pair)},
+			{"KL/indexed", sampler.NewKLIndexed(pair)},
+			{"KLM/plain", sampler.NewKLM(pair)},
+			{"KLM/indexed", sampler.NewKLMIndexed(pair)},
+		}
+		for _, k := range kernels {
+			b.Run(p.prefix+k.name+"/single", func(b *testing.B) {
+				src := mt.New(1)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = k.s.Sample(src)
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
+			})
+			b.Run(p.prefix+k.name+"/batch", func(b *testing.B) {
+				src := mt.New(1)
+				buf := make([]float64, 256)
+				b.ReportAllocs()
+				drawn := 0
+				for i := 0; i < b.N; i += len(buf) {
+					k.s.SampleBatch(src, buf)
+					drawn += len(buf)
+				}
+				b.ReportMetric(float64(drawn)/b.Elapsed().Seconds(), "samples/sec")
+			})
+		}
 	}
 }
 

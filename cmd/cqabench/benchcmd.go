@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -38,6 +40,7 @@ func cmdBench(args []string) error {
 	minAbs := fs.Duration("compare-min-abs", 0, "absolute floor of the noise threshold (0 = default 5ms)")
 	failRatio := fs.Float64("compare-fail-ratio", 0, "current/baseline ratio at which a regression fails the run; below it regressions only warn (0 = any regression fails)")
 	traceOut := fs.String("trace-out", "", "write the bench span tree as Chrome Trace Event JSON here (plus a .jsonl journal)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the measured runs here (synopsis preparation and scheme runs, not pair generation)")
 	logFormat := fs.String("log-format", "text", "progress/status log format: text or json")
 	openCache := cacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -70,6 +73,15 @@ func cmdBench(args []string) error {
 	if *traceOut != "" {
 		traceRoot = obs.NewSpan("cqabench.bench")
 	}
+	var profile io.Writer
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		profile = f
+	}
 	res, err := benchtrack.Run(context.Background(), specs, *tier, harness.Config{
 		Reps:    *k,
 		Timeout: *timeout,
@@ -77,9 +89,15 @@ func cmdBench(args []string) error {
 		Schemes: schemes,
 		Trace:   traceRoot,
 		Cache:   cache,
-	})
+	}, profile)
 	if err != nil {
 		return err
+	}
+	if f, ok := profile.(*os.File); ok {
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("bench: cpu profile: %w", err)
+		}
+		logger.Info("wrote cpu profile", "path", *cpuProfile)
 	}
 	for _, e := range res.Entries {
 		logger.Info("bench entry",

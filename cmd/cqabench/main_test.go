@@ -398,6 +398,23 @@ func TestRunTraceOutAndManifest(t *testing.T) {
 	}
 }
 
+// TestBenchCPUProfile: bench -cpuprofile writes a non-empty profile of
+// its measured runs.
+func TestBenchCPUProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs bench scenarios")
+	}
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.prof")
+	if err := run([]string{"bench", "-tier", "smoke", "-k", "1", "-schemes", "KLM",
+		"-out", filepath.Join(dir, "BENCH_smoke.json"), "-history", "", "-cpuprofile", prof}); err != nil {
+		t.Fatalf("bench: %v", err)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("cpu profile: %v, %v", fi, err)
+	}
+}
+
 // TestBenchCompareGate is the CLI acceptance scenario: bench writes a
 // provenance-stamped result and history line, -compare passes against an
 // identical baseline and exits nonzero against a doctored ≥2× one.

@@ -238,7 +238,7 @@ func TestRunSmokeTier(t *testing.T) {
 		Schemes:  []cqa.Scheme{cqa.KLM},
 		Trace:    root,
 		Progress: func(harness.Measurement) { progressed++ },
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package benchtrack
 import (
 	"context"
 	"fmt"
+	"io"
+	"runtime/pprof"
 	"time"
 
 	"cqabench/internal/harness"
@@ -23,7 +25,11 @@ const labSeed = 1
 // rebuild noise: the first bench run against it builds and persists
 // every synopsis, later runs load them. The result carries a provenance
 // manifest so BENCH files are attributable.
-func Run(ctx context.Context, specs []Spec, tier string, cfg harness.Config) (Result, error) {
+//
+// Every spec's pairs are generated before anything is measured. With a
+// non-nil cpuProfile, Run writes a CPU profile of the measured part
+// alone there: synopsis preparation and the scheme runs.
+func Run(ctx context.Context, specs []Spec, tier string, cfg harness.Config, cpuProfile io.Writer) (Result, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 5
 	}
@@ -38,7 +44,8 @@ func Run(ctx context.Context, specs []Spec, tier string, cfg harness.Config) (Re
 	})
 
 	labs := make(map[float64]*scenario.Lab)
-	for _, spec := range specs {
+	workloads := make([]*scenario.Workload, len(specs))
+	for i, spec := range specs {
 		lab, ok := labs[spec.SF]
 		if !ok {
 			labCfg := scenario.DefaultConfig()
@@ -56,6 +63,15 @@ func Run(ctx context.Context, specs []Spec, tier string, cfg harness.Config) (Re
 		if err != nil {
 			return res, fmt.Errorf("benchtrack: %s: %w", spec.Name, err)
 		}
+		workloads[i] = w
+	}
+	if cpuProfile != nil {
+		if err := pprof.StartCPUProfile(cpuProfile); err != nil {
+			return res, fmt.Errorf("benchtrack: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	for i, spec := range specs {
 		// A spec may pin a parallel-schedule pool; the override lives
 		// on the per-spec copy so other specs keep the invocation's default.
 		scfg := cfg
@@ -63,7 +79,7 @@ func Run(ctx context.Context, specs []Spec, tier string, cfg harness.Config) (Re
 			scfg.Opts.SamplingWorkers = spec.SamplingWorkers
 		}
 		scfg.Trace = cfg.Trace.StartChild("bench:" + spec.Name)
-		fig, err := harness.Run(ctx, w, scfg, func(scenario.Pair) float64 { return spec.Level })
+		fig, err := harness.Run(ctx, workloads[i], scfg, func(scenario.Pair) float64 { return spec.Level })
 		scfg.Trace.End()
 		if err != nil {
 			return res, fmt.Errorf("benchtrack: %s: %w", spec.Name, err)

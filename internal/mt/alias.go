@@ -43,8 +43,15 @@ func NewAlias(weights []float64) *Alias {
 	}
 	// The small and large stacks share one buffer, small growing up from
 	// the front and large down from the back: together they never hold
-	// more than n entries.
-	stack := make([]int32, n)
+	// more than n entries. Small tables, most of a run's, keep it off the
+	// heap.
+	var buf [32]int32
+	var stack []int32
+	if n <= len(buf) {
+		stack = buf[:n]
+	} else {
+		stack = make([]int32, n)
+	}
 	ns, nl := 0, 0
 	push := func(i int32) {
 		if p[i] < 1 {

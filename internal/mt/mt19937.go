@@ -79,18 +79,28 @@ func (s *Source) SeedBySlice(key []uint64) {
 	s.index = nn
 }
 
+// refill regenerates the state, two words per step, with the twist's
+// conditional XOR as the mask -(x&1) & matrixA instead of a multiply.
+// From word nn−mm on it reads words this pass has already regenerated,
+// as the reference does; word nn−1 pairs with the new word 0.
 func (s *Source) refill() {
-	var x uint64
-	for i := 0; i < nn-mm; i++ {
-		x = (s.state[i] & upperMask) | (s.state[i+1] & lowerMask)
-		s.state[i] = s.state[i+mm] ^ (x >> 1) ^ ((x & 1) * matrixA)
+	st := &s.state
+	for i := 0; i < nn-mm; i += 2 {
+		x0 := (st[i] & upperMask) | (st[i+1] & lowerMask)
+		x1 := (st[i+1] & upperMask) | (st[i+2] & lowerMask)
+		st[i] = st[i+mm] ^ (x0 >> 1) ^ (-(x0 & 1) & matrixA)
+		st[i+1] = st[i+mm+1] ^ (x1 >> 1) ^ (-(x1 & 1) & matrixA)
 	}
-	for i := nn - mm; i < nn-1; i++ {
-		x = (s.state[i] & upperMask) | (s.state[i+1] & lowerMask)
-		s.state[i] = s.state[i+mm-nn] ^ (x >> 1) ^ ((x & 1) * matrixA)
+	for i := nn - mm; i < nn-2; i += 2 {
+		x0 := (st[i] & upperMask) | (st[i+1] & lowerMask)
+		x1 := (st[i+1] & upperMask) | (st[i+2] & lowerMask)
+		st[i] = st[i+mm-nn] ^ (x0 >> 1) ^ (-(x0 & 1) & matrixA)
+		st[i+1] = st[i+mm+1-nn] ^ (x1 >> 1) ^ (-(x1 & 1) & matrixA)
 	}
-	x = (s.state[nn-1] & upperMask) | (s.state[0] & lowerMask)
-	s.state[nn-1] = s.state[mm-1] ^ (x >> 1) ^ ((x & 1) * matrixA)
+	x0 := (st[nn-2] & upperMask) | (st[nn-1] & lowerMask)
+	x1 := (st[nn-1] & upperMask) | (st[0] & lowerMask)
+	st[nn-2] = st[mm-2] ^ (x0 >> 1) ^ (-(x0 & 1) & matrixA)
+	st[nn-1] = st[mm-1] ^ (x1 >> 1) ^ (-(x1 & 1) & matrixA)
 	s.index = 0
 }
 

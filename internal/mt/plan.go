@@ -1,18 +1,13 @@
 package mt
 
-import "math/bits"
-
-// Bounded is a uniform draw over [0, n) with everything Intn computes per
-// call precomputed: the rejection bound and, for the remainder, Lemire's
-// 128-bit magic ceil(2^128 / n) ("Faster Remainder by Direct
-// Computation", Lemire, Kaser and Kurz 2019). Draw consumes the same
-// words as Intn(n) and returns the same value, with no division.
+// Bounded is a uniform draw over [0, n) with Intn's rejection bound
+// precomputed, so that a draw divides only for its remainder. Draw
+// consumes the same words as Intn(n) and returns the same value.
 type Bounded struct {
 	n uint64
 	// bound is Intn's rejection bound (2^64 / n)·n: words at or above it
 	// are redrawn. It is 0 for a power of two, which masks instead.
-	bound    uint64
-	mhi, mlo uint64 // ceil(2^128 / n), high and low words
+	bound uint64
 }
 
 // NewBounded precomputes the draw over [0, n). It panics if n <= 0.
@@ -27,7 +22,7 @@ func NewBounded(n int) Bounded {
 }
 
 // smallBounded holds the draws over [0, n) for small n. Block sizes and
-// image counts are mostly small, and a lookup keeps the three divisions
+// image counts are mostly small, and a lookup keeps the division
 // newBounded costs out of sampler init, which runs once per tuple;
 // BlockPlan steps read their draws from it directly.
 var smallBounded = func() (t [256]Bounded) {
@@ -41,30 +36,8 @@ func newBounded(n uint64) Bounded {
 	b := Bounded{n: n}
 	if n&(n-1) != 0 {
 		b.bound = (^uint64(0) / n) * n
-		b.mhi, b.mlo = magic(n)
 	}
 	return b
-}
-
-// magic returns ceil(2^128 / n) for n >= 2 as two words: one more than
-// floor((2^128 − 1) / n).
-func magic(n uint64) (hi, lo uint64) {
-	hi = ^uint64(0) / n
-	lo, _ = bits.Div64(^uint64(0)%n, ^uint64(0), n)
-	lo, carry := bits.Add64(lo, 1, 0)
-	return hi + carry, lo
-}
-
-// rem returns v mod n from the magic: the high word of
-// ((magic·v) mod 2^128)·n. It is exact for every 64-bit v and n >= 2,
-// since 128 ≥ 64 + log2(n) (Lemire et al., Theorem 1).
-func rem(v, n, mhi, mlo uint64) uint64 {
-	hi, lo := bits.Mul64(mlo, v)
-	hi += mhi * v
-	carryIn, _ := bits.Mul64(lo, n)
-	h, l := bits.Mul64(hi, n)
-	_, carry := bits.Add64(l, carryIn, 0)
-	return h + carry
 }
 
 // Draw returns Intn(n) from src: the same words, the same value.
@@ -76,7 +49,7 @@ func (b *Bounded) Draw(src *Source) int {
 	for v >= b.bound {
 		v = src.Uint64()
 	}
-	return int(rem(v, b.n, b.mhi, b.mlo))
+	return int(v % b.n)
 }
 
 // BlockPlan is the per-pair draw plan FillBlocks follows: one step per
@@ -159,7 +132,7 @@ func (s *Source) FillBlocks(p *BlockPlan, dst []int32) {
 			x = temper(s.state[i])
 			i++
 		}
-		dst[b] = int32(rem(x, u.n, u.mhi, u.mlo))
+		dst[b] = int32(x % u.n)
 		b++
 	}
 	// Like Uint64, leave a spent state for the next draw to refill.

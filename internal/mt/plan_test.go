@@ -131,27 +131,6 @@ func TestBoundedMatchesIntn(t *testing.T) {
 	NewBounded(0)
 }
 
-// FuzzExactRemainder: the magic-based remainder equals v % n for every
-// word v and every n >= 2. A wrong magic would silently bias a kernel.
-func FuzzExactRemainder(f *testing.F) {
-	for _, c := range [][2]uint64{
-		{0, 2}, {1, 3}, {math.MaxUint64, 3}, {math.MaxUint64, 5},
-		{math.MaxUint64 - 1, math.MaxUint64}, {12345678901234567, 1<<31 - 1},
-		{1 << 63, 1<<63 + 1}, {math.MaxUint64, 1 << 40}, {7, 7},
-	} {
-		f.Add(c[0], c[1])
-	}
-	f.Fuzz(func(t *testing.T, v, n uint64) {
-		if n < 2 {
-			return
-		}
-		hi, lo := magic(n)
-		if got, want := rem(v, n, hi, lo), v%n; got != want {
-			t.Fatalf("rem(%d, %d) = %d, want %d", v, n, got, want)
-		}
-	})
-}
-
 // smokeBlockSizes is the smoke Boolean pair's block histogram
 // {1: 147, 2: 24, 3: 21, 4: 26, 5: 28}, in a fixed shuffled order.
 func smokeBlockSizes() []int32 {

@@ -106,14 +106,14 @@ func (n *NaturalIndexed) GoodFactor() float64 { return 1 }
 // scanning every j < i. Identical distribution, values, and PRNG stream
 // consumption as KL.
 type KLIndexed struct {
-	*Symbolic
+	Symbolic
 	ix *firstIndex
 }
 
 // NewKLIndexed builds the indexed Karp–Luby sampler. It is a drop-in
 // replacement for NewKL.
 func NewKLIndexed(pair *synopsis.Admissible) *KLIndexed {
-	return &KLIndexed{Symbolic: NewSymbolic(pair), ix: newFirstIndex(pair.Images)}
+	return &KLIndexed{Symbolic: newSymbolic(pair), ix: newFirstIndex(pair.Images)}
 }
 
 // Sample draws (i, I) from S• and returns 1 iff no j < i has H_j ⊆ I.
@@ -158,14 +158,14 @@ func (k *KLIndexed) GoodFactor() float64 { return 1 / k.weight }
 // scanning all |H|. Identical distribution, values, and PRNG stream
 // consumption as KLM.
 type KLMIndexed struct {
-	*Symbolic
+	Symbolic
 	ix *firstIndex
 }
 
 // NewKLMIndexed builds the indexed Karp–Luby–Madras sampler. It is a
 // drop-in replacement for NewKLM.
 func NewKLMIndexed(pair *synopsis.Admissible) *KLMIndexed {
-	return &KLMIndexed{Symbolic: NewSymbolic(pair), ix: newFirstIndex(pair.Images)}
+	return &KLMIndexed{Symbolic: newSymbolic(pair), ix: newFirstIndex(pair.Images)}
 }
 
 // Sample draws (i, I) from S• and returns 1/k with k = |{j : H_j ⊆ I}|

@@ -24,9 +24,16 @@
 // and a coverage layout (synopsis.FlatImages) without members in size-1
 // blocks. The plan consumes exactly the words per-block Intn would, in
 // the same order: a size-1 block still consumes its word, untempered,
-// and its entry stays 0; every other block's rejection bound and
-// remainder are precomputed. Stream consumption, and hence every
-// estimate, is unchanged by the plan.
+// and its entry stays 0; every other block's rejection bound is
+// precomputed. Stream consumption, and hence every estimate, is
+// unchanged by the plan.
+//
+// The plain KLM kernel must count every covering image, so instead of
+// checking all |H| images per draw it builds a kill index
+// (synopsis.KillIndex) from the layout: per block and kept member, the
+// images that choice excludes, as masks over an |H|-bit set. A draw ORs
+// the kept members' masks and counts k = |H| − popcount; with one image,
+// k is 1 and no index is built.
 //
 // All samplers reuse internal scratch buffers: one instance serves one
 // estimation loop at a time.
@@ -92,15 +99,33 @@ type Symbolic struct {
 
 // NewSymbolic prepares the symbolic sampling space for the pair.
 func NewSymbolic(pair *synopsis.Admissible) *Symbolic {
-	weights := make([]float64, pair.NumImages())
+	s := newSymbolic(pair)
+	return &s
+}
+
+// newSymbolic builds the space by value, so that the samplers built on
+// it hold it in their own allocation.
+func newSymbolic(pair *synopsis.Admissible) Symbolic {
+	// The alias table keeps none of the weights: small pairs, most of a
+	// run's tuples, keep them off the heap.
+	var buf [32]float64
+	var weights []float64
+	if n := pair.NumImages(); n <= len(buf) {
+		weights = buf[:n]
+	} else {
+		weights = make([]float64, n)
+	}
+	// Summed in image order, the weights give SymbolicWeight's value.
+	var weight float64
 	for i := range weights {
 		weights[i] = pair.ImageWeight(i)
+		weight += weights[i]
 	}
-	return &Symbolic{
+	return Symbolic{
 		plan:   mt.NewBlockPlan(pair.BlockSizes),
 		flat:   pair.Flatten(),
 		alias:  mt.NewAlias(weights),
-		weight: pair.SymbolicWeight(),
+		weight: weight,
 		chosen: make([]int32, pair.NumBlocks()),
 	}
 }
@@ -132,12 +157,12 @@ func (s *Symbolic) Weight() float64 { return s.weight }
 
 // KL is Sampler 2: SampleKL.
 type KL struct {
-	*Symbolic
+	Symbolic
 }
 
 // NewKL returns the Karp–Luby sampler for the pair.
 func NewKL(pair *synopsis.Admissible) *KL {
-	return &KL{NewSymbolic(pair)}
+	return &KL{newSymbolic(pair)}
 }
 
 // Sample draws (i, I) from S• and returns 1 iff no j < i has H_j ⊆ I.
@@ -164,14 +189,22 @@ func (k *KL) SampleBatch(src *mt.Source, dst []float64) {
 // GoodFactor returns |db(B)|/|S•|.
 func (k *KL) GoodFactor() float64 { return 1 / k.weight }
 
-// KLM is Sampler 3: SampleKLM.
+// KLM is Sampler 3: SampleKLM. It counts the covering images with a
+// kill index over the coverage layout instead of checking every image.
+// A pair with one image, most of a run's tuples, needs no index: every
+// draw holds that image, and only it.
 type KLM struct {
-	*Symbolic
+	Symbolic
+	kill synopsis.KillIndex
 }
 
 // NewKLM returns the Karp–Luby–Madras sampler for the pair.
 func NewKLM(pair *synopsis.Admissible) *KLM {
-	return &KLM{NewSymbolic(pair)}
+	k := &KLM{Symbolic: newSymbolic(pair)}
+	if pair.NumImages() > 1 {
+		k.kill.Init(&k.flat, pair.NumBlocks())
+	}
+	return k
 }
 
 // Sample draws (i, I) from S• and returns 1/k with k = |{j : H_j ⊆ I}|
@@ -180,7 +213,10 @@ func (k *KLM) Sample(src *mt.Source) float64 { return k.sample(src) }
 
 func (k *KLM) sample(src *mt.Source) float64 {
 	k.Draw(src)
-	return 1 / float64(k.flat.CoverCount(k.chosen))
+	if k.NumImages() == 1 {
+		return 1
+	}
+	return 1 / float64(k.kill.CoverCount(k.chosen))
 }
 
 // SampleBatch fills dst with len(dst) consecutive draws.

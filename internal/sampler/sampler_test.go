@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -226,12 +227,16 @@ func TestSamplerExpectedValuesProperty(t *testing.T) {
 	}
 }
 
-// pairFromSeed builds a small random admissible pair. Its blocks mix
-// every kind a draw treats differently: size 1, powers of two and other
-// sizes; and some pairs hold an image lying wholly in size-1 blocks.
+// pairFromSeed builds a random admissible pair. Its blocks mix every
+// kind a draw treats differently: size 1, powers of two and other sizes;
+// and some pairs hold an image lying wholly in size-1 blocks. Most pairs
+// are small; one in eight has many images (manyImagesPair).
 func pairFromSeed(seed []byte) *synopsis.Admissible {
 	if len(seed) < 4 {
 		return nil
+	}
+	if seed[1]&0x20 != 0 {
+		return manyImagesPair(seed)
 	}
 	nBlocks := int(seed[0]%6) + 1
 	nImages := int(seed[1]%4) + 1
@@ -290,6 +295,61 @@ func pairFromSeed(seed []byte) *synopsis.Admissible {
 		}
 	}
 	pair.BlockSizes = sizes
+	if pair.Validate() != nil {
+		return nil
+	}
+	return pair
+}
+
+// manyImagesPair builds a pair of 64, 65 or 129–192 images over eight
+// blocks, so that KLM's kill index spans one word, two, or three or
+// more. Each block's ids from a random named count up are anonymous,
+// and seed[1]&0x10 adds an image lying wholly in size-1 blocks, if the
+// pair has such blocks.
+func manyImagesPair(seed []byte) *synopsis.Admissible {
+	var h uint64
+	for _, c := range seed {
+		h = h*131 + uint64(c)
+	}
+	g := mt.New(h)
+	want := []int{64, 65, 129 + int(seed[2]%64)}[seed[3]%3]
+	kinds := []int32{1, 1, 2, 3, 4, 5, 7, 8}
+	const nBlocks = 8
+	pair := &synopsis.Admissible{}
+	var named [nBlocks]int
+	for b := range named {
+		sz := kinds[g.Intn(len(kinds))]
+		pair.BlockSizes = append(pair.BlockSizes, sz)
+		named[b] = 1 + g.Intn(int(sz))
+	}
+	seen := make(map[string]bool)
+	add := func(img synopsis.Image) {
+		if key := fmt.Sprint(img); len(img) > 0 && !seen[key] {
+			seen[key] = true
+			pair.Images = append(pair.Images, img)
+		}
+	}
+	var wholly synopsis.Image
+	for b := range named {
+		add(synopsis.Image{{Block: int32(b), Fact: int32(g.Intn(named[b]))}})
+		if pair.BlockSizes[b] == 1 {
+			wholly = append(wholly, synopsis.Member{Block: int32(b)})
+		}
+	}
+	if seed[1]&0x10 != 0 {
+		add(wholly)
+	}
+	// At least 2^8 − 1 distinct images exist: every block names a member.
+	for len(pair.Images) < want {
+		var img synopsis.Image
+		for b := range named {
+			if g.Intn(2) == 0 {
+				img = append(img, synopsis.Member{Block: int32(b), Fact: int32(g.Intn(named[b]))})
+			}
+		}
+		add(img)
+	}
+	pair.Canonicalize()
 	if pair.Validate() != nil {
 		return nil
 	}

@@ -123,7 +123,10 @@ func matchesReference(pair *synopsis.Admissible, seed uint64, draws int) string 
 // TestKernelsMatchIntnReference pins the stream: on fixed pairs with and
 // without size-1 blocks, and on random pairs mixing size-1,
 // power-of-two and odd blocks, every kernel draws what per-block Intn
-// draws and consumes the same words.
+// draws and consumes the same words. The random pairs also pin KLM's
+// kill-index count to the reference's CoverCount on one-, two- and
+// three-word image sets, anonymous members and images lying wholly in
+// size-1 blocks.
 func TestKernelsMatchIntnReference(t *testing.T) {
 	singletons := &synopsis.Admissible{
 		BlockSizes: []int32{1, 3, 1, 1, 4, 1, 5, 1},
@@ -146,29 +149,51 @@ func TestKernelsMatchIntnReference(t *testing.T) {
 			t.Fatalf("%s pair: %s", name, msg)
 		}
 	}
-	var sawWholly bool
+	var sawWholly, sawAnonymous, saw64, saw65, sawOver128 bool
 	f := func(seed []byte) bool {
 		pair := pairFromSeed(seed)
 		if pair == nil {
 			return true
 		}
+		named := make([]int32, pair.NumBlocks())
 		for _, img := range pair.Images {
 			wholly := true
 			for _, m := range img {
 				wholly = wholly && pair.BlockSizes[m.Block] == 1
+				named[m.Block] = max(named[m.Block], m.Fact+1)
 			}
 			sawWholly = sawWholly || wholly
 		}
+		for b, n := range named {
+			sawAnonymous = sawAnonymous || n < pair.BlockSizes[b]
+		}
+		saw64 = saw64 || pair.NumImages() == 64
+		saw65 = saw65 || pair.NumImages() == 65
+		sawOver128 = sawOver128 || pair.NumImages() > 128
 		if msg := matchesReference(pair, uint64(len(seed))+1, 500); msg != "" {
 			t.Logf("pair %+v: %s", pair, msg)
 			return false
 		}
 		return true
 	}
+	// Fixed seeds make sure every case below is met.
+	for k := byte(0); k < 3; k++ {
+		if !f([]byte{0, 0x30, 7, k}) {
+			t.Fatalf("many-image pair %d differs from the reference", k)
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if !sawWholly {
-		t.Fatal("no random pair held an image lying wholly in size-1 blocks")
+	for what, saw := range map[string]bool{
+		"an image lying wholly in size-1 blocks": sawWholly,
+		"an anonymous member":                    sawAnonymous,
+		"64 images":                              saw64,
+		"65 images":                              saw65,
+		"over 128 images":                        sawOver128,
+	} {
+		if !saw {
+			t.Fatalf("no random pair held %s", what)
+		}
 	}
 }

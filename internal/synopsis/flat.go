@@ -87,19 +87,6 @@ func (f *FlatImages) FirstCover(chosen []int32) int {
 	return -1
 }
 
-// CoverCount returns |{i : H_i ⊆ I}|. It agrees with
-// Admissible.CoverCount on db(B).
-func (f *FlatImages) CoverCount(chosen []int32) int {
-	k := 0
-	n := f.NumImages()
-	for i := 0; i < n; i++ {
-		if f.Covers(i, chosen) {
-			k++
-		}
-	}
-	return k
-}
-
 // Shape summarizes the quantities kernel selection is based on. All
 // fields derive from the pair alone, so the choice of sampling kernel is
 // a pure function of synopsis shape.
